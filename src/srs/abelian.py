@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotConvergentError
+from .errors import FuelError, NotConvergentError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
     Path,
@@ -36,14 +36,19 @@ from .rewrite import (
     normal_path,
 )
 from .track import compose, free_reduce, invert, whisker
-from .critical import critical_branchings, generating_confluence, is_convergent
+from .critical import (
+    branching_key,
+    critical_branchings,
+    generating_confluence,
+    is_convergent,
+)
 
 # footprint: (left class, rule id, right class) -> nonzero integer
 Footprint = dict[tuple[Word, str, Word], int]
 # basis representation: ((left class, right class), basis id) -> nonzero integer
 PiElement = dict[tuple[tuple[Word, Word], str], int]
 
-_MAX_DEPTH = 600  # generous bug guard; stays below the interpreter's own limit
+_MAX_DEPTH = 600  # peak-elimination depth limit, below the interpreter's own
 
 
 def _bump(acc: dict, key, value: int):
@@ -120,9 +125,7 @@ class _BasisIndex:
             conf = generating_confluence(branching, p)
             loop = BasisLoop(f"b{n}", conf)
             loops.append(loop)
-            (id1, pos1), (id2, pos2) = branching.redexes
-            key = (branching.overlap, tuple(sorted([(pos1, id1), (pos2, id2)])))
-            by_key[key] = loop
+            by_key[branching_key(branching.overlap, *branching.redexes)] = loop
         self.loops: tuple[BasisLoop, ...] = tuple(loops)
         self.by_key = by_key
         self.by_id = {loop.basis_id: loop for loop in loops}
@@ -186,7 +189,7 @@ def _e_class(
     if cached is not None:
         return cached
     if depth > _MAX_DEPTH:
-        raise RecursionError("peak elimination exceeded its depth guard")
+        raise FuelError(f"peak elimination exceeded its depth limit of {_MAX_DEPTH}")
 
     first = find_redexes(source, p)[0]
     b_rule, b_pos = first.rule, first.pos
@@ -213,10 +216,7 @@ def _e_class(
     ov_end = max(b_pos + m_b, pos + m_s)
     overlap = source[b_pos:ov_end]
     left_ctx, right_ctx = source[:b_pos], source[ov_end:]
-    lookup = (
-        overlap,
-        tuple(sorted([(0, b_rule.rule_id), (pos - b_pos, rule.rule_id)])),
-    )
+    lookup = branching_key(overlap, (b_rule.rule_id, 0), (rule.rule_id, pos - b_pos))
     basis_loop = index.by_key.get(lookup)
     if basis_loop is None:  # pragma: no cover - would be an enumeration bug
         raise RuntimeError(f"no critical branching indexed for overlap {overlap}")

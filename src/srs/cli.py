@@ -3,9 +3,9 @@
 Exit status: 0 for a successful or affirmative run, 1 for a negative
 result (not convergent, not equal, not joinable, translation rejected),
 2 for usage, parse, or precondition errors (diagnostic on stderr).
-Output is deterministic; ``--format json`` emits one document per run
-with a top-level ``"schema": 1`` field carrying the same data as the
-text output.
+Output is deterministic.  Each command computes one JSON document;
+``--format json`` prints it with a top-level ``"schema": 1`` field, and
+the text output is rendered from it, so both carry the same data.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path as FilePath
 
 from . import abelian, completion, critical, rewrite, track, transport
 from .errors import (
-    FuelError,
     NotConvergentError,
     NotJoinableError,
     NotTerminatingError,
@@ -38,14 +37,6 @@ def _load(path: str) -> Presentation:
     return parse_presentation(FilePath(path).read_text(encoding="utf-8"))
 
 
-def _emit(args, payload: dict, lines: list[str]):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _require_convergent(p: Presentation):
     cert = critical.is_convergent(p)
     if not cert.ok:
@@ -54,24 +45,12 @@ def _require_convergent(p: Presentation):
         )
 
 
-def _format_footprint(fp: abelian.Footprint, p: Presentation) -> str:
-    if not fp:
-        return "0"
-    keys = sorted(fp, key=lambda k: (k[1], k[0], k[2]))
-    return " ".join(
-        f"{fp[k]:+d}·({format_word(k[0], p)}, {k[1]}, {format_word(k[2], p)})"
-        for k in keys
-    )
-
-
-def _format_pi(x: abelian.PiElement, p: Presentation) -> str:
-    if not x:
-        return "0"
-    keys = sorted(x, key=lambda k: (len(k[1]), k[1], k[0]))
-    return " ".join(
-        f"{x[k]:+d}·(({format_word(k[0][0], p)},{format_word(k[0][1], p)}), {k[1]})"
-        for k in keys
-    )
+def _require_terminating(p: Presentation, args):
+    if not args.assume_terminating and not rewrite.check_termination(p).ok:
+        raise NotTerminatingError(
+            "presentation is not certified terminating "
+            "(use --assume-terminating to attempt anyway)"
+        )
 
 
 def _footprint_json(fp: abelian.Footprint, p: Presentation) -> list[dict]:
@@ -100,120 +79,120 @@ def _pi_json(x: abelian.PiElement, p: Presentation) -> list[dict]:
     ]
 
 
+def _footprint_text(items: list[dict]) -> str:
+    return " ".join(
+        f"{t['coefficient']:+d}·({t['left']}, {t['rule']}, {t['right']})" for t in items
+    ) or "0"
+
+
+def _pi_text(items: list[dict]) -> str:
+    return " ".join(
+        f"{t['coefficient']:+d}·(({t['left']},{t['right']}), {t['basis']})" for t in items
+    ) or "0"
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit status, JSON payload); each _text_* renders
+# the text output from that payload alone
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     cert = critical.is_convergent(p)
     term = cert.termination
     lc = cert.local_confluence
-    yn = lambda flag: "yes" if flag else "no"  # noqa: E731
-    lines = [
-        f"terminating: {yn(term.ok)}; locally confluent: "
-        f"{yn(lc.ok) if lc is not None else 'not checked'}; convergent: {yn(cert.ok)}"
-    ]
     payload = {
-        "schema": SCHEMA,
-        "command": "check",
         "terminating": term.ok,
         "locally_confluent": lc.ok if lc is not None else None,
         "convergent": cert.ok,
         "order_violations": list(term.violations),
-        "unjoinable": [],
+        "unjoinable": [
+            {
+                "overlap": format_word(failure.branching.overlap, p),
+                "left": format_word(failure.left_nf, p),
+                "right": format_word(failure.right_nf, p),
+            }
+            for failure in (lc.failures if lc is not None else ())
+        ],
     }
-    for rule_id in term.violations:
-        lines.append(f"rule {rule_id}: not decreasing under the order")
-    if lc is not None:
-        for failure in lc.failures:
-            b = failure.branching
-            lines.append(
-                f"branching overlap={format_word(b.overlap, p)} not joinable: "
-                f"{format_word(failure.left_nf, p)} vs {format_word(failure.right_nf, p)}"
-            )
-            payload["unjoinable"].append(
-                {
-                    "overlap": format_word(b.overlap, p),
-                    "left": format_word(failure.left_nf, p),
-                    "right": format_word(failure.right_nf, p),
-                }
-            )
     if args.max_len is not None and term.ok:
         report = critical.brute_force_confluence(p, args.max_len)
-        if report.ok:
-            lines.append(f"brute force (≤{args.max_len}): confluent")
-            payload["brute_force"] = {"max_len": args.max_len, "confluent": True}
-        else:
+        bf = payload["brute_force"] = {"max_len": args.max_len, "confluent": report.ok}
+        if not report.ok:
             w, nf1, nf2 = report.counterexample
-            lines.append(
-                f"brute force (≤{args.max_len}): witness {format_word(w, p)} reaches "
-                f"{format_word(nf1, p)} and {format_word(nf2, p)}"
-            )
-            payload["brute_force"] = {
-                "max_len": args.max_len,
-                "confluent": False,
-                "witness": format_word(w, p),
-            }
-    _emit(args, payload, lines)
-    return 0 if cert.ok else 1
+            bf["witness"] = format_word(w, p)
+            bf["normal_forms"] = [format_word(nf1, p), format_word(nf2, p)]
+    return (0 if cert.ok else 1), payload
 
 
-def _cmd_normalize(args) -> int:
-    p = _load(args.presentation)
-    if not args.assume_terminating and not rewrite.check_termination(p).ok:
-        raise NotTerminatingError(
-            "presentation is not certified terminating "
-            "(use --assume-terminating to attempt anyway)"
+def _text_check(payload: dict) -> list[str]:
+    yn = lambda flag: "yes" if flag else "no"  # noqa: E731
+    lc = payload["locally_confluent"]
+    lines = [
+        f"terminating: {yn(payload['terminating'])}; locally confluent: "
+        f"{yn(lc) if lc is not None else 'not checked'}; "
+        f"convergent: {yn(payload['convergent'])}"
+    ]
+    lines += [
+        f"rule {rule_id}: not decreasing under the order"
+        for rule_id in payload["order_violations"]
+    ]
+    lines += [
+        f"branching overlap={u['overlap']} not joinable: {u['left']} vs {u['right']}"
+        for u in payload["unjoinable"]
+    ]
+    bf = payload.get("brute_force")
+    if bf is not None and bf["confluent"]:
+        lines.append(f"brute force (≤{bf['max_len']}): confluent")
+    elif bf is not None:
+        nf1, nf2 = bf["normal_forms"]
+        lines.append(
+            f"brute force (≤{bf['max_len']}): witness {bf['witness']} reaches {nf1} and {nf2}"
         )
+    return lines
+
+
+def _cmd_normalize(args) -> tuple[int, dict]:
+    p = _load(args.presentation)
+    _require_terminating(p, args)
     w = parse_word(args.word, p)
     nf, path = rewrite.normalize(w, p, fuel=args.fuel)
-    lines = [f"normal form: {format_word(nf, p)}", f"path: {track.format_path(path, p)}"]
-    payload = {
-        "schema": SCHEMA,
-        "command": "normalize",
+    return 0, {
         "input": format_word(w, p),
         "normal_form": format_word(nf, p),
         "path": track.format_path(path, p),
     }
-    _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_equal(args) -> int:
+def _text_normalize(payload: dict) -> list[str]:
+    return [f"normal form: {payload['normal_form']}", f"path: {payload['path']}"]
+
+
+def _cmd_equal(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     _require_convergent(p)
     u = parse_word(args.left, p)
     v = parse_word(args.right, p)
     nf_u = rewrite.normal_form(p, u)
     nf_v = rewrite.normal_form(p, v)
-    equal = nf_u == nf_v
-    if equal:
-        lines = [f"equal (normal form: {format_word(nf_u, p)})"]
-    else:
-        lines = [
-            f"not equal (normal forms: {format_word(nf_u, p)}, {format_word(nf_v, p)})"
-        ]
     payload = {
-        "schema": SCHEMA,
-        "command": "equal",
-        "equal": equal,
+        "equal": nf_u == nf_v,
         "normal_forms": [format_word(nf_u, p), format_word(nf_v, p)],
     }
-    _emit(args, payload, lines)
-    return 0 if equal else 1
+    return (0 if payload["equal"] else 1), payload
 
 
-def _cmd_critical_pairs(args) -> int:
+def _text_equal(payload: dict) -> list[str]:
+    nf_u, nf_v = payload["normal_forms"]
+    if payload["equal"]:
+        return [f"equal (normal form: {nf_u})"]
+    return [f"not equal (normal forms: {nf_u}, {nf_v})"]
+
+
+def _cmd_critical_pairs(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    if not rewrite.check_termination(p).ok and not args.assume_terminating:
-        raise NotTerminatingError(
-            "presentation is not certified terminating "
-            "(use --assume-terminating to attempt anyway)"
-        )
-    lines: list[str] = []
+    _require_terminating(p, args)
     items = []
-    all_joinable = True
     for b in critical.critical_branchings(p):
         entry = {
             "overlap": format_word(b.overlap, p),
@@ -224,105 +203,81 @@ def _cmd_critical_pairs(args) -> int:
         }
         try:
             conf = critical.generating_confluence(b, p)
-            joinable = True
             entry["joinable"] = True
             entry["loop"] = track.format_path(conf.loop, p)
         except NotJoinableError as exc:
-            joinable = False
             entry["joinable"] = False
             entry["normal_forms"] = [
                 format_word(exc.left_nf, p),
                 format_word(exc.right_nf, p),
             ]
-        all_joinable = all_joinable and joinable
-        lines.append(
-            f"overlap={format_word(b.overlap, p)} r1={b.rule1.rule_id}@0 "
-            f"r2={b.rule2.rule_id}@{b.offset} kind={b.kind} "
-            f"joinable={'true' if joinable else 'false'}"
-        )
-        if joinable:
-            lines.append(f"  loop: {entry['loop']}")
-        else:
-            lines.append(
-                f"  normal forms: {entry['normal_forms'][0]} vs {entry['normal_forms'][1]}"
-            )
         items.append(entry)
-    payload = {
-        "schema": SCHEMA,
-        "command": "critical-pairs",
+    all_joinable = all(entry["joinable"] for entry in items)
+    return (0 if all_joinable else 1), {
         "branchings": items,
         "locally_confluent": all_joinable,
     }
-    _emit(args, payload, lines)
-    return 0 if all_joinable else 1
 
 
-def _cmd_complete(args) -> int:
+def _text_critical_pairs(payload: dict) -> list[str]:
+    lines = []
+    for b in payload["branchings"]:
+        lines.append(
+            f"overlap={b['overlap']} r1={b['rule1']}@0 r2={b['rule2']}@{b['offset']} "
+            f"kind={b['kind']} joinable={'true' if b['joinable'] else 'false'}"
+        )
+        if b["joinable"]:
+            lines.append(f"  loop: {b['loop']}")
+        else:
+            left, right = b["normal_forms"]
+            lines.append(f"  normal forms: {left} vs {right}")
+    return lines
+
+
+def _cmd_complete(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     completed, trace = completion.knuth_bendix(p, fuel=args.fuel)
-    lines = print_presentation(completed).splitlines()
-    events = []
-    for event in trace:
-        if event.kind == "add":
-            overlap = (
-                f" from overlap {format_word(event.overlap, completed)}"
-                if event.overlap is not None
-                else ""
-            )
-            lines.append(
-                f"add {event.rule_id}: {' '.join(event.lhs)} -> "
-                f"{' '.join(event.rhs)}".rstrip() + overlap
-            )
-        elif event.kind == "remove":
-            lines.append(
-                f"remove {event.rule_id}: {' '.join(event.lhs)} -> "
-                f"{' '.join(event.rhs)}".rstrip()
-            )
-        else:
-            lines.append(
-                f"simplify {event.rule_id}: {' '.join(event.lhs)} -> "
-                f"{' '.join(event.rhs)}".rstrip()
-            )
-        events.append(
-            {
-                "kind": event.kind,
-                "rule": event.rule_id,
-                "lhs": " ".join(event.lhs),
-                "rhs": " ".join(event.rhs),
-                "overlap": format_word(event.overlap, completed)
-                if event.overlap is not None
-                else None,
-            }
-        )
-    payload = {
-        "schema": SCHEMA,
-        "command": "complete",
-        "presentation": print_presentation(completed),
-        "trace": events,
-    }
-    _emit(args, payload, lines)
-    return 0
+    events = [
+        {
+            "kind": event.kind,
+            "rule": event.rule_id,
+            "lhs": " ".join(event.lhs),
+            "rhs": " ".join(event.rhs),
+            "overlap": format_word(event.overlap, completed)
+            if event.overlap is not None
+            else None,
+        }
+        for event in trace
+    ]
+    return 0, {"presentation": print_presentation(completed), "trace": events}
 
 
-def _cmd_pi_basis(args) -> int:
+def _text_complete(payload: dict) -> list[str]:
+    lines = payload["presentation"].splitlines()
+    for e in payload["trace"]:
+        overlap = f" from overlap {e['overlap']}" if e["overlap"] is not None else ""
+        lines.append(f"{e['kind']} {e['rule']}: {e['lhs']} -> {e['rhs']}".rstrip() + overlap)
+    return lines
+
+
+def _cmd_pi_basis(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     _require_convergent(p)
     loops = abelian.basis_loops(p)
-    lines = [f"{bl.basis_id}: {track.format_path(bl.loop, p)}" for bl in loops]
-    lines.append(f"pi generated by {len(loops)} element(s)")
-    payload = {
-        "schema": SCHEMA,
-        "command": "pi-basis",
+    return 0, {
         "loops": [
             {"id": bl.basis_id, "path": track.format_path(bl.loop, p)} for bl in loops
         ],
         "generated_by": len(loops),
     }
-    _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_decompose(args) -> int:
+def _text_pi_basis(payload: dict) -> list[str]:
+    lines = [f"{bl['id']}: {bl['path']}" for bl in payload["loops"]]
+    return lines + [f"pi generated by {payload['generated_by']} element(s)"]
+
+
+def _cmd_decompose(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     _require_convergent(p)
     loop = track.parse_path(args.path, p)
@@ -332,18 +287,7 @@ def _cmd_decompose(args) -> int:
             f"target {format_word(loop.target, p)}"
         )
     cert = abelian.decompose_loop(loop, p)
-    fp = abelian.footprint(loop, p)
-    lines = [
-        f"ε={'+' if e.sign > 0 else '-'} "
-        f"ctx=({format_word(e.left, p)},{format_word(e.right, p)}) "
-        f"basis={e.basis_id} conj={track.format_path(e.conjugator, p)}"
-        for e in cert.entries
-    ]
-    lines.append(f"pi = {_format_pi(cert.pi, p)}")
-    lines.append(f"footprint = {_format_footprint(fp, p)}")
-    payload = {
-        "schema": SCHEMA,
-        "command": "decompose",
+    return 0, {
         "entries": [
             {
                 "sign": e.sign,
@@ -355,29 +299,35 @@ def _cmd_decompose(args) -> int:
             for e in cert.entries
         ],
         "pi": _pi_json(cert.pi, p),
-        "footprint": _footprint_json(fp, p),
+        "footprint": _footprint_json(abelian.footprint(loop, p), p),
         "verified": abelian.verify_certificate(loop, cert, p).ok,
     }
-    _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_footprint(args) -> int:
+def _text_decompose(payload: dict) -> list[str]:
+    lines = [
+        f"ε={'+' if e['sign'] > 0 else '-'} ctx=({e['left']},{e['right']}) "
+        f"basis={e['basis']} conj={e['conjugator']}"
+        for e in payload["entries"]
+    ]
+    return lines + [
+        f"pi = {_pi_text(payload['pi'])}",
+        f"footprint = {_footprint_text(payload['footprint'])}",
+    ]
+
+
+def _cmd_footprint(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     _require_convergent(p)
     path = track.parse_path(args.path, p)
-    fp = abelian.footprint(path, p)
-    lines = [f"footprint = {_format_footprint(fp, p)}"]
-    payload = {
-        "schema": SCHEMA,
-        "command": "footprint",
-        "footprint": _footprint_json(fp, p),
-    }
-    _emit(args, payload, lines)
-    return 0
+    return 0, {"footprint": _footprint_json(abelian.footprint(path, p), p)}
 
 
-def _cmd_transport(args) -> int:
+def _text_footprint(payload: dict) -> list[str]:
+    return [f"footprint = {_footprint_text(payload['footprint'])}"]
+
+
+def _cmd_transport(args) -> tuple[int, dict]:
     sigma = _load(args.sigma)
     upsilon = _load(args.upsilon)
     m = transport.parse_translation_map(
@@ -385,33 +335,24 @@ def _cmd_transport(args) -> int:
     )
     report = transport.check_translation(sigma, upsilon, m)
     if not report.ok:
-        lines = ["translation: rejected"] + [f"  {msg}" for msg in report.failures]
-        payload = {
-            "schema": SCHEMA,
-            "command": "transport",
-            "translation_ok": False,
-            "failures": list(report.failures),
-        }
-        _emit(args, payload, lines)
-        return 1
+        return 1, {"translation_ok": False, "failures": list(report.failures)}
     basis = tuple(bl.loop for bl in abelian.basis_loops(upsilon))
     generators = transport.transported_generators(sigma, upsilon, m, basis)
-    lines = ["translation: ok"]
-    lines += [
-        f"{label}: {track.format_path(loop, sigma)}" for label, loop in generators
-    ]
-    lines.append(f"transported generators: {len(generators)}")
-    payload = {
-        "schema": SCHEMA,
-        "command": "transport",
+    return 0, {
         "translation_ok": True,
         "generators": [
             {"label": label, "path": track.format_path(loop, sigma)}
             for label, loop in generators
         ],
     }
-    _emit(args, payload, lines)
-    return 0
+
+
+def _text_transport(payload: dict) -> list[str]:
+    if not payload["translation_ok"]:
+        return ["translation: rejected"] + [f"  {msg}" for msg in payload["failures"]]
+    lines = ["translation: ok"]
+    lines += [f"{g['label']}: {g['path']}" for g in payload["generators"]]
+    return lines + [f"transported generators: {len(payload['generators'])}"]
 
 
 # ---------------------------------------------------------------------------
@@ -426,65 +367,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fuel_default=None):
+    def common(sp, handler, render, fuel_default=None):
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if fuel_default is not None:
             sp.add_argument("--fuel", type=int, default=fuel_default)
+        sp.set_defaults(handler=handler, render=render)
 
     sp = sub.add_parser("check", help="termination, local confluence, convergence")
     sp.add_argument("presentation")
     sp.add_argument("--max-len", type=int, default=None)
-    common(sp)
-    sp.set_defaults(handler=_cmd_check)
+    common(sp, _cmd_check, _text_check)
 
     sp = sub.add_parser("normalize", help="normal form and canonical path of a word")
     sp.add_argument("presentation")
     sp.add_argument("word")
     sp.add_argument("--assume-terminating", action="store_true")
-    common(sp, fuel_default=rewrite.DEFAULT_FUEL)
-    sp.set_defaults(handler=_cmd_normalize)
+    common(sp, _cmd_normalize, _text_normalize, fuel_default=rewrite.DEFAULT_FUEL)
 
     sp = sub.add_parser("equal", help="decide the word problem (needs convergence)")
     sp.add_argument("presentation")
     sp.add_argument("left")
     sp.add_argument("right")
-    common(sp)
-    sp.set_defaults(handler=_cmd_equal)
+    common(sp, _cmd_equal, _text_equal)
 
     sp = sub.add_parser("critical-pairs", help="critical branchings and their loops")
     sp.add_argument("presentation")
     sp.add_argument("--assume-terminating", action="store_true")
-    common(sp)
-    sp.set_defaults(handler=_cmd_critical_pairs)
+    common(sp, _cmd_critical_pairs, _text_critical_pairs)
 
     sp = sub.add_parser("complete", help="Knuth-Bendix completion")
     sp.add_argument("presentation")
-    common(sp, fuel_default=completion.DEFAULT_RULE_FUEL)
-    sp.set_defaults(handler=_cmd_complete)
+    common(sp, _cmd_complete, _text_complete, fuel_default=completion.DEFAULT_RULE_FUEL)
 
     sp = sub.add_parser("pi-basis", help="basis loops of the generating confluences")
     sp.add_argument("presentation")
-    common(sp)
-    sp.set_defaults(handler=_cmd_pi_basis)
+    common(sp, _cmd_pi_basis, _text_pi_basis)
 
     sp = sub.add_parser("decompose", help="decompose a closed path over the basis")
     sp.add_argument("presentation")
     sp.add_argument("path")
-    common(sp)
-    sp.set_defaults(handler=_cmd_decompose)
+    common(sp, _cmd_decompose, _text_decompose)
 
     sp = sub.add_parser("footprint", help="footprint of a path")
     sp.add_argument("presentation")
     sp.add_argument("path")
-    common(sp)
-    sp.set_defaults(handler=_cmd_footprint)
+    common(sp, _cmd_footprint, _text_footprint)
 
     sp = sub.add_parser("transport", help="transport a basis along a translation map")
     sp.add_argument("sigma")
     sp.add_argument("upsilon")
     sp.add_argument("map")
-    common(sp)
-    sp.set_defaults(handler=_cmd_transport)
+    common(sp, _cmd_transport, _text_transport)
 
     return parser
 
@@ -496,13 +429,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        status, payload = args.handler(args)
     except FileNotFoundError as exc:
         print(f"srs: cannot read {exc.filename}", file=sys.stderr)
         return 2
-    except (RewritingError, ValueError, FuelError) as exc:
+    except (RewritingError, ValueError) as exc:
         print(f"srs: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        document = {"schema": SCHEMA, "command": args.command, **payload}
+        print(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False))
+    else:
+        for line in args.render(payload):
+            print(line)
+    return status
 
 
 if __name__ == "__main__":

@@ -50,7 +50,9 @@ class CriticalBranching:
         return (self.rule1.rule_id, 0), (self.rule2.rule_id, self.offset)
 
 
-def _branching_key(overlap: Word, redex_a: tuple[str, int], redex_b: tuple[str, int]):
+def branching_key(overlap: Word, redex_a: tuple[str, int], redex_b: tuple[str, int]):
+    """Identity of a branching: its overlap and its unordered pair of
+    (rule id, position) redexes."""
     return overlap, tuple(sorted([(redex_a[1], redex_a[0]), (redex_b[1], redex_b[0])]))
 
 
@@ -66,7 +68,7 @@ def critical_branchings(p: Presentation) -> tuple[CriticalBranching, ...]:
                 k = len(l1) - off
                 if k < len(l2) and l1[off:] == l2[:k]:
                     overlap = l1 + l2[k:]
-                    key = _branching_key(overlap, (r1.rule_id, 0), (r2.rule_id, off))
+                    key = branching_key(overlap, (r1.rule_id, 0), (r2.rule_id, off))
                     found.setdefault(
                         key, CriticalBranching(r1, r2, off, overlap, PROPER)
                     )
@@ -74,7 +76,7 @@ def critical_branchings(p: Presentation) -> tuple[CriticalBranching, ...]:
             if len(l2) <= len(l1):
                 for off in range(len(l1) - len(l2) + 1):
                     if l1[off : off + len(l2)] == l2 and not (i == j and off == 0):
-                        key = _branching_key(l1, (r1.rule_id, 0), (r2.rule_id, off))
+                        key = branching_key(l1, (r1.rule_id, 0), (r2.rule_id, off))
                         found.setdefault(
                             key, CriticalBranching(r1, r2, off, l1, CONTAINMENT)
                         )

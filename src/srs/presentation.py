@@ -214,24 +214,21 @@ def _split_token(token: str, p: Presentation) -> list[str]:
     if token in index:
         return [token]
     lengths = sorted({len(g) for g in p.generators}, reverse=True)
-    dead: set[int] = set()
-
-    def walk(i: int) -> list[str] | None:
-        if i == len(token):
-            return []
-        if i in dead:
-            return None
+    size = len(token)
+    # take[i]: the longest name at i whose rest splits (backtracking where a
+    # longer one dead-ends), or 0 when the suffix from i does not split
+    take = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
         for n in lengths:
-            if token[i : i + n] in index:
-                rest = walk(i + n)
-                if rest is not None:
-                    return [token[i : i + n]] + rest
-        dead.add(i)
-        return None
-
-    parts = walk(0)
-    if parts is None:
+            if i + n <= size and token[i : i + n] in index and (i + n == size or take[i + n]):
+                take[i] = n
+                break
+    if not take[0]:
         raise ParseError(f"cannot read {token!r} as a word over the alphabet")
+    parts, i = [], 0
+    while i < size:
+        parts.append(token[i : i + take[i]])
+        i += take[i]
     return parts
 
 

@@ -13,13 +13,11 @@ from functools import lru_cache
 
 from .errors import FuelError, MatchError, NotConvergentError
 from .presentation import (
-    GREATER,
     OrderSpec,
     Presentation,
     Rule,
     ValidationReport,
     Word,
-    compare_words,
     validate,
 )
 
@@ -204,8 +202,3 @@ def words_equal(u: Word, v: Word, p: Presentation, cert=None) -> bool:
             "word problem needs a convergent presentation; run completion first"
         )
     return normal_form(p, u) == normal_form(p, v)
-
-
-def step_decreases(step: RewriteStep, p: Presentation) -> bool:
-    """True when a positive step strictly decreases the order (termination)."""
-    return compare_words(p.order, step.source, apply_step(step)) is GREATER

@@ -83,6 +83,25 @@ def test_normalize_refuses_unoriented(tmp_path, capsys):
     assert "normal form" in err
 
 
+def test_normalize_long_token_in_normal_form(tmp_path, capsys):
+    path = tmp_path / "sorting.pres"
+    path.write_text(
+        "generators: a b c\norder: shortlex a < b < c\nrules:\n"
+        " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "normalize", str(path), "a" * 10_000)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["normal form: " + "a" * 10_000, "path: " + "a" * 10_000 + ":"]
+
+
+def test_decompose_depth_limit_is_a_diagnostic(as_file, capsys):
+    loop = " ".join("a" * 700) + ": +r@650 -r@650"
+    code, out, err = run(capsys, "decompose", as_file, loop)
+    assert (code, out) == (2, "")
+    assert err == "srs: peak elimination exceeded its depth limit of 600\n"
+
+
 def test_critical_pairs(as_file, capsys):
     code, out, _ = run(capsys, "critical-pairs", as_file)
     assert code == 0

@@ -189,6 +189,15 @@ def test_word_tokenization_multichar_names():
         parse_word("abc", p)
 
 
+def test_word_tokenization_long_token():
+    sorting = parse_presentation("generators: a b\norder: shortlex a < b\nrules:\n r: b a -> a b")
+    assert parse_word("a" * 10_000, sorting) == ("a",) * 10_000
+    p = parse_presentation("generators: ab a b\norder: shortlex ab < a < b\nrules:")
+    assert parse_word("ab" * 5_000 + "a", p) == ("ab",) * 5_000 + ("a",)
+    with pytest.raises(ParseError):
+        parse_word("ab" * 5_000 + "c", p)
+
+
 def test_rule_invariants():
     with pytest.raises(ValueError):
         Rule("r", (), w("a"))
