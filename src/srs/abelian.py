@@ -31,7 +31,7 @@ from .rewrite import (
     Path,
     RewriteStep,
     apply_step,
-    find_redexes,
+    first_redex,
     normal_form,
     normal_path,
 )
@@ -191,7 +191,7 @@ def _e_class(
     if depth > _MAX_DEPTH:
         raise FuelError(f"peak elimination exceeded its depth limit of {_MAX_DEPTH}")
 
-    first = find_redexes(source, p)[0]
+    first = first_redex(source, p)
     b_rule, b_pos = first.rule, first.pos
     if (b_rule.rule_id, b_pos) == (rule.rule_id, pos):
         result: tuple[PiElement, tuple[_RawEntry, ...]] = ({}, ())

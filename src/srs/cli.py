@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit status: 0 for a successful or affirmative run, 1 for a negative
-result (not convergent, not equal, not joinable, translation rejected),
+result (not convergent, not equal, not joinable, translation rejected,
+certificate replay failed),
 2 for usage, parse, or precondition errors (diagnostic on stderr).
 Output is deterministic.  Each command computes one JSON document;
 ``--format json`` prints it with a top-level ``"schema": 1`` field, and
@@ -11,6 +12,7 @@ the text output is rendered from it, so both carry the same data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as FilePath
@@ -287,7 +289,8 @@ def _cmd_decompose(args) -> tuple[int, dict]:
             f"target {format_word(loop.target, p)}"
         )
     cert = abelian.decompose_loop(loop, p)
-    return 0, {
+    verified = abelian.verify_certificate(loop, cert, p).ok
+    return 0 if verified else 1, {
         "entries": [
             {
                 "sign": e.sign,
@@ -300,7 +303,7 @@ def _cmd_decompose(args) -> tuple[int, dict]:
         ],
         "pi": _pi_json(cert.pi, p),
         "footprint": _footprint_json(abelian.footprint(loop, p), p),
-        "verified": abelian.verify_certificate(loop, cert, p).ok,
+        "verified": verified,
     }
 
 
@@ -310,10 +313,13 @@ def _text_decompose(payload: dict) -> list[str]:
         f"basis={e['basis']} conj={e['conjugator']}"
         for e in payload["entries"]
     ]
-    return lines + [
+    lines += [
         f"pi = {_pi_text(payload['pi'])}",
         f"footprint = {_footprint_text(payload['footprint'])}",
     ]
+    if not payload["verified"]:
+        lines.append("certificate replay: FAILED")
+    return lines
 
 
 def _cmd_footprint(args) -> tuple[int, dict]:
@@ -358,7 +364,10 @@ def _text_transport(payload: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and help text is formatted only when printed."""
     parser = argparse.ArgumentParser(
         prog="srs",
         description="String rewriting toolkit for monoid presentations: "

@@ -22,7 +22,7 @@ from .presentation import (
     Word,
     compare_words,
 )
-from .rewrite import check_termination, normalize
+from .rewrite import check_termination, find_redexes, normalize
 from .critical import critical_branchings, words_up_to
 
 DEFAULT_RULE_FUEL = 256
@@ -95,25 +95,27 @@ def knuth_bendix(
         changed = True
         while changed:
             changed = False
-            # collapse rules whose lhs the others already reduce
+            # collapse rules whose lhs the others already reduce; one scan
+            # against the whole set finds them, so only a rule found
+            # reducible pays for a presentation of the others
+            current = _with_rules(p, rules)
             for idx, rule in enumerate(rules):
-                others = rules[:idx] + rules[idx + 1 :]
-                q = _with_rules(p, others)
+                if all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, current)):
+                    continue
+                q = _with_rules(p, rules[:idx] + rules[idx + 1 :])
                 u, _ = normalize(rule.lhs, q)
-                if u != rule.lhs:
-                    del rules[idx]
-                    trace.append(
-                        CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs)
-                    )
-                    v, _ = normalize(rule.rhs, q)
-                    if u != v:
-                        add_rule(u, v, None)
-                    changed = True
-                    break
+                del rules[idx]
+                trace.append(
+                    CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs)
+                )
+                v, _ = normalize(rule.rhs, q)
+                if u != v:
+                    add_rule(u, v, None)
+                changed = True
+                break
             if changed:
                 continue
             # normalize right-hand sides against the full set
-            current = _with_rules(p, rules)
             for idx, rule in enumerate(rules):
                 rhs, _ = normalize(rule.rhs, current)
                 if rhs != rule.rhs:
@@ -167,15 +169,13 @@ def _congruence_classes(p: Presentation, bound: int) -> dict[Word, Word]:
     for w in words:
         parent[w] = w
     for w in words:
-        for rule in p.rules:
-            n = len(rule.lhs)
-            for pos in range(len(w) - n + 1):
-                if w[pos : pos + n] == rule.lhs:
-                    rewritten = w[:pos] + rule.rhs + w[pos + n :]
-                    if len(rewritten) <= bound:
-                        ra, rb = find(w), find(rewritten)
-                        if ra != rb:
-                            parent[rb] = ra
+        for redex in find_redexes(w, p):
+            rule, pos = redex.rule, redex.pos
+            rewritten = w[:pos] + rule.rhs + w[pos + len(rule.lhs) :]
+            if len(rewritten) <= bound:
+                ra, rb = find(w), find(rewritten)
+                if ra != rb:
+                    parent[rb] = ra
     # canonicalize on the smallest member so representatives are stable
     best: dict[Word, Word] = {}
     for w in words:

@@ -86,6 +86,23 @@ class Rule:
             raise ValueError(f"rule {self.rule_id}: sides are equal")
 
 
+@dataclass(frozen=True, eq=False)
+class LhsTrie:
+    """Trie of a presentation's left-hand sides: the index that every redex
+    scan walks.
+
+    Node 0 is the root.  ``edges[n]`` maps a generator to the child of node
+    ``n``.  ``ends[n]`` lists, in ascending order, the indices of the rules
+    whose left-hand side spells the path from the root to ``n`` (more than
+    one when left-hand sides repeat), so ``ends[n][0]`` is the lowest.
+    ``depth`` is the length of the longest left-hand side.
+    """
+
+    edges: tuple[dict[str, int], ...]
+    ends: tuple[tuple[int, ...], ...]
+    depth: int
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Alphabet, rules and reduction order; the unit of work for every tool."""
@@ -126,6 +143,26 @@ class Presentation:
     @cached_property
     def rule_position(self) -> dict[str, int]:
         return {rule.rule_id: i for i, rule in enumerate(self.rules)}
+
+    @cached_property
+    def lhs_trie(self) -> LhsTrie:
+        edges: list[dict[str, int]] = [{}]
+        ends: list[list[int]] = [[]]
+        for index, rule in enumerate(self.rules):
+            node = 0
+            for g in rule.lhs:
+                child = edges[node].get(g)
+                if child is None:
+                    child = edges[node][g] = len(edges)
+                    edges.append({})
+                    ends.append([])
+                node = child
+            ends[node].append(index)
+        return LhsTrie(
+            tuple(edges),
+            tuple(map(tuple, ends)),
+            max((len(rule.lhs) for rule in self.rules), default=0),
+        )
 
     @cached_property
     def single_letter_names(self) -> bool:

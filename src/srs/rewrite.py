@@ -4,6 +4,14 @@ The deterministic normalization strategy used everywhere is: leftmost
 position first, then lowest rule index.  Fixing the strategy makes every
 downstream certificate (confluence bases, decompositions, transported
 generators) reproducible.
+
+Every redex scan walks one index: the trie of all left-hand sides that
+``Presentation.lhs_trie`` builds once per presentation.  The walk from a
+position follows the word letter by letter and collects the rules whose
+left-hand sides end at the nodes it passes, so it stops after at most as
+many letters as the longest left-hand side.  No failure links are needed:
+``normalize`` restarts its scan near the last step instead of at the start
+of the word (see there), which bounds the positions it rescans.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from functools import lru_cache
 
 from .errors import FuelError, MatchError, NotConvergentError
 from .presentation import (
+    LhsTrie,
     OrderSpec,
     Presentation,
     Rule,
@@ -115,17 +124,44 @@ class Path:
         return len(self.steps)
 
 
+def _rules_at(w: Word, pos: int, trie: LhsTrie) -> list[int]:
+    """Indices of the rules whose left-hand side occurs in ``w`` at ``pos``,
+    in the order the trie walk meets them."""
+    edges, ends = trie.edges, trie.ends
+    node = 0
+    found: list[int] = []
+    for i in range(pos, len(w)):
+        node = edges[node].get(w[i])
+        if node is None:
+            break
+        found += ends[node]
+    return found
+
+
+def first_redex(w: Word, p: Presentation, start: int = 0) -> Redex | None:
+    """The leftmost redex of ``w`` at or after position ``start``, lowest
+    rule index first; None when no left-hand side occurs there."""
+    if start < 0:
+        raise ValueError(f"negative start {start}")
+    trie = p.lhs_trie
+    for pos in range(start, len(w)):
+        found = _rules_at(w, pos, trie)
+        if found:
+            return Redex(p.rules[min(found)], pos)
+    return None
+
+
 def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
     """All rule occurrences in ``w``, sorted by position then rule index.
 
     Empty exactly when ``w`` is a normal form.
     """
-    out: list[Redex] = []
-    for pos in range(len(w)):
-        for rule in p.rules:
-            if w[pos : pos + len(rule.lhs)] == rule.lhs:
-                out.append(Redex(rule, pos))
-    return tuple(out)
+    trie = p.lhs_trie
+    return tuple(
+        Redex(p.rules[index], pos)
+        for pos in range(len(w))
+        for index in sorted(_rules_at(w, pos, trie))
+    )
 
 
 def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, Path]:
@@ -134,23 +170,35 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
     Returns the normal form and the canonical reduction path.  ``fuel``
     bounds the number of steps; exceeding it raises FuelError rather than
     truncating silently (relevant only when termination was not certified).
+
+    After a step at ``pos`` the scan restarts at ``pos - d + 1`` (not below
+    0), where ``d`` is the length of the longest left-hand side, instead of
+    at 0.  This finds the same redex as a scan of the whole word: before the
+    step no redex started left of ``pos``, and the step left the prefix
+    before ``pos`` unchanged, so a redex starting at ``q`` must reach into
+    the rewritten factor, ``q + d > pos``.  The steps, the point where fuel
+    runs out and the path are therefore those of a full rescan, while the
+    scanning cost grows with the number of steps rather than with steps times word
+    length times rules.
     """
+    window = p.lhs_trie.depth - 1
     steps: list[RewriteStep] = []
     current = w
     remaining = fuel
+    start = 0
     while True:
-        redexes = find_redexes(current, p)
-        if not redexes:
+        redex = first_redex(current, p, start)
+        if redex is None:
             break
         if remaining <= 0:
             raise FuelError(
                 f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}"
             )
         remaining -= 1
-        first = redexes[0]
-        step = RewriteStep(current, first.rule, first.pos, 1)
+        step = RewriteStep(current, redex.rule, redex.pos, 1)
         steps.append(step)
         current = apply_step(step)
+        start = max(0, redex.pos - window)
     return current, Path(w, tuple(steps))
 
 

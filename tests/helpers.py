@@ -8,8 +8,11 @@ import random
 from collections import deque
 
 from srs import (
+    DEFAULT_FUEL,
+    FuelError,
     Path,
     Presentation,
+    Redex,
     RewriteStep,
     Word,
     apply_step,
@@ -54,6 +57,39 @@ def w(text: str) -> Word:
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def find_redexes_oracle(w: Word, p: Presentation) -> tuple[Redex, ...]:
+    """Every rule tried at every position by slice comparison: the scan the
+    trie matcher replaced, kept as its reference."""
+    out: list[Redex] = []
+    for pos in range(len(w)):
+        for rule in p.rules:
+            if w[pos : pos + len(rule.lhs)] == rule.lhs:
+                out.append(Redex(rule, pos))
+    return tuple(out)
+
+
+def normalize_oracle(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, Path]:
+    """Leftmost-lowest normalization that rescans the whole word after every
+    step: the reference for the incremental ``normalize``."""
+    steps: list[RewriteStep] = []
+    current = w
+    remaining = fuel
+    while True:
+        redexes = find_redexes_oracle(current, p)
+        if not redexes:
+            break
+        if remaining <= 0:
+            raise FuelError(
+                f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}"
+            )
+        remaining -= 1
+        first = redexes[0]
+        step = RewriteStep(current, first.rule, first.pos, 1)
+        steps.append(step)
+        current = apply_step(step)
+    return current, Path(w, tuple(steps))
 
 
 def reachable_normal_forms(p: Presentation, start: Word) -> set[Word]:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from srs.cli import main
+from srs import abelian
+from srs.cli import _build_parser, main
 from helpers import AS_TEXT, TWO_TEXT
 
 UPSILON_TEXT = "generators: b e\norder: shortlex b < e\nrules:\n u1: b b -> b\n u2: e ->\n"
@@ -148,6 +149,19 @@ def test_decompose(as_file, capsys):
     assert lines[2] == "footprint = +1·(ε, r, a) -1·(a, r, ε)"
 
 
+def test_decompose_reports_a_failed_replay(as_file, capsys, monkeypatch):
+    _, verified_out, _ = run(capsys, "decompose", as_file, "aaa: +r@0 -r@1")
+    monkeypatch.setattr(
+        abelian, "verify_certificate", lambda *args: abelian.CertificateReport(("rejected",))
+    )
+    code, out, err = run(capsys, "decompose", as_file, "aaa: +r@0 -r@1")
+    assert (code, err) == (1, "")
+    assert out == verified_out + "certificate replay: FAILED\n"
+    code, out, _ = run(capsys, "decompose", as_file, "aaa: +r@0 -r@1", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["verified"] is False
+
+
 def test_decompose_rejects_open_path(as_file, capsys):
     code, _, err = run(capsys, "decompose", as_file, "aaa: +r@0")
     assert code == 2
@@ -186,6 +200,27 @@ def test_json_mode_single_document(as_file, capsys):
         {"left": "ε", "right": "ε", "basis": "b1", "coefficient": 1}
     ]
     assert payload["verified"] is True
+
+
+def test_parser_is_built_once_and_reused(as_file, two_file, capsys):
+    calls = [
+        ("check", two_file, "--max-len", "3"),
+        ("normalize", as_file, "aaaa", "--format", "json"),
+        ("no-such-command",),
+        ("equal", as_file, "a a", "a"),
+        ("normalize", "--help"),
+        ("decompose", as_file, "aaa: +r@0 -r@1"),
+        ("complete", two_file, "--format", "json"),
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    for argv, expected in zip(calls, fresh):
+        assert run(capsys, *argv) == expected, argv
+    assert _build_parser() is parser
 
 
 def test_repeat_runs_byte_identical(as_file, capsys):
