@@ -30,7 +30,6 @@ from .presentation import Presentation, Rule, Word
 from .rewrite import (
     Path,
     RewriteStep,
-    apply_step,
     first_redex,
     normal_form,
     normal_path,
@@ -201,8 +200,8 @@ def _e_class(
     m_b, m_s = len(b_rule.lhs), len(rule.lhs)
     if b_pos + m_b <= pos:
         # disjoint: compare via the two residual steps across the square
-        target_b = apply_step(RewriteStep(source, b_rule, b_pos, 1))
-        target_s = apply_step(RewriteStep(source, rule, pos, 1))
+        target_b = RewriteStep(source, b_rule, b_pos, 1).target
+        target_s = RewriteStep(source, rule, pos, 1).target
         shift = len(b_rule.rhs) - m_b
         pi_s, entries_s = _e_class(target_b, rule, pos + shift, p, index, memo, depth + 1)
         pi_b, entries_b = _e_class(target_s, b_rule, b_pos, p, index, memo, depth + 1)
@@ -317,9 +316,8 @@ def decompose_loop(f: Path, p: Presentation) -> DecompositionCertificate:
             _accumulate(pi, sub_pi, 1)
             raw.extend(sub_entries)
         else:
-            forward_source = apply_step(step)
             sub_pi, sub_entries = _e_class(
-                forward_source, step.rule, step.pos, p, index, memo, 0
+                step.target, step.rule, step.pos, p, index, memo, 0
             )
             _accumulate(pi, sub_pi, -1)
             raw.extend(_negate_entries(sub_entries))

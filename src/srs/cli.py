@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         status, payload = args.handler(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"srs: cannot read {exc.filename}", file=sys.stderr)
         return 2
     except (RewritingError, ValueError) as exc:

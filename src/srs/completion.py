@@ -22,7 +22,7 @@ from .presentation import (
     Word,
     compare_words,
 )
-from .rewrite import check_termination, find_redexes, normalize
+from .rewrite import RewriteStep, check_termination, find_redexes, normalize
 from .critical import critical_branchings, words_up_to
 
 DEFAULT_RULE_FUEL = 256
@@ -131,12 +131,8 @@ def knuth_bendix(
         current = _with_rules(p, rules)
         pending = None
         for b in critical_branchings(current):
-            left = b.overlap[:0] + b.rule1.rhs + b.overlap[len(b.rule1.lhs) :]
-            right = (
-                b.overlap[: b.offset]
-                + b.rule2.rhs
-                + b.overlap[b.offset + len(b.rule2.lhs) :]
-            )
+            left = RewriteStep(b.overlap, b.rule1, 0, 1).target
+            right = RewriteStep(b.overlap, b.rule2, b.offset, 1).target
             nf_left, _ = normalize(left, current)
             nf_right, _ = normalize(right, current)
             if nf_left != nf_right:
@@ -170,8 +166,7 @@ def _congruence_classes(p: Presentation, bound: int) -> dict[Word, Word]:
         parent[w] = w
     for w in words:
         for redex in find_redexes(w, p):
-            rule, pos = redex.rule, redex.pos
-            rewritten = w[:pos] + rule.rhs + w[pos + len(rule.lhs) :]
+            rewritten = RewriteStep(w, redex.rule, redex.pos, 1).target
             if len(rewritten) <= bound:
                 ra, rb = find(w), find(rewritten)
                 if ra != rb:

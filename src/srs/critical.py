@@ -19,7 +19,6 @@ from .rewrite import (
     Path,
     RewriteStep,
     TerminationCertificate,
-    apply_step,
     check_termination,
     find_redexes,
     normal_path,
@@ -211,7 +210,7 @@ def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
         else:
             out: set[Word] = set()
             for redex in redexes:
-                out |= nfs(apply_step(RewriteStep(w, redex.rule, redex.pos, 1)))
+                out |= nfs(RewriteStep(w, redex.rule, redex.pos, 1).target)
             result = frozenset(out)
         nf_sets[w] = result
         return result

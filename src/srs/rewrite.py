@@ -12,11 +12,16 @@ left-hand sides end at the nodes it passes, so it stops after at most as
 many letters as the longest left-hand side.  No failure links are needed:
 ``normalize`` restarts its scan near the last step instead of at the start
 of the word (see there), which bounds the positions it rescans.
+
+A ``RewriteStep`` is the only code that rewrites a word: it computes its
+target once, when it checks its match, and everything else (paths,
+normalization, the path algebra, completion) reads that target.  A ``Path``
+checks only its joints, that each step starts where the previous one ended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import FuelError, MatchError, NotConvergentError
@@ -45,34 +50,37 @@ class Redex:
         return self.rule.rule_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """A signed, positioned rule application with its own source word.
 
     Sign +1 replaces the lhs by the rhs at ``pos``; sign -1 replaces the
     rhs by the lhs.  The match is checked at construction, so a step value
-    is always applicable.
+    is always applicable, and the target word is computed then, once; it
+    takes no part in equality, hashing or the repr.
     """
 
     source: Word
     rule: Rule
     pos: int
     sign: int
+    target: Word = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        source, rule, pos, sign = self.source, self.rule, self.pos, self.sign
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.pos < 0:
-            raise MatchError(f"negative position {self.pos}")
-        factor = self.matched
-        if self.source[self.pos : self.pos + len(factor)] != factor or (
-            self.pos > len(self.source)
-        ):
-            side = "lhs" if self.sign > 0 else "rhs"
+        if pos < 0:
+            raise MatchError(f"negative position {pos}")
+        factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
+        end = pos + len(factor)
+        if source[pos:end] != factor or pos > len(source):
+            side = "lhs" if sign > 0 else "rhs"
             raise MatchError(
-                f"{side} of rule {self.rule.rule_id} does not occur at "
-                f"position {self.pos} of {''.join(self.source) or 'ε'!r}"
+                f"{side} of rule {rule.rule_id} does not occur at "
+                f"position {pos} of {''.join(source) or 'ε'!r}"
             )
+        object.__setattr__(self, "target", source[:pos] + replacement + source[end:])
 
     @property
     def matched(self) -> Word:
@@ -85,21 +93,22 @@ class RewriteStep:
 
 def apply_step(step: RewriteStep) -> Word:
     """The target word of a step."""
-    n = len(step.matched)
-    return step.source[: step.pos] + step.replacement + step.source[step.pos + n :]
+    return step.target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A chain of rewriting steps starting at ``base``.
 
     Consecutive steps must chain (each step's source is the previous
-    target); this is checked at construction.  The empty path at a word is
-    the identity.  See the track module for the algebra on paths.
+    target); construction checks these joints, and reads each step's
+    target rather than rewriting again.  The empty path at a word is the
+    identity.  See the track module for the algebra on paths.
     """
 
     base: Word
     steps: tuple[RewriteStep, ...] = ()
+    target: Word = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         current = self.base
@@ -109,12 +118,8 @@ class Path:
                     f"step {step.rule.rule_id}@{step.pos} starts at "
                     f"{''.join(step.source) or 'ε'}, expected {''.join(current) or 'ε'}"
                 )
-            current = apply_step(step)
-        object.__setattr__(self, "_target", current)
-
-    @property
-    def target(self) -> Word:
-        return self._target  # type: ignore[attr-defined]
+            current = step.target
+        object.__setattr__(self, "target", current)
 
     @property
     def is_closed(self) -> bool:
@@ -197,7 +202,7 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
         remaining -= 1
         step = RewriteStep(current, redex.rule, redex.pos, 1)
         steps.append(step)
-        current = apply_step(step)
+        current = step.target
         start = max(0, redex.pos - window)
     return current, Path(w, tuple(steps))
 

@@ -14,7 +14,7 @@ import re
 
 from .errors import BoundaryError, DisjointnessError, ParseError
 from .presentation import Presentation, Word, format_word, parse_word
-from .rewrite import Path, RewriteStep, apply_step
+from .rewrite import Path, RewriteStep
 
 _STEP_RE = re.compile(r"([+-])([A-Za-z0-9_]+)@(\d+)\Z")
 
@@ -35,22 +35,21 @@ def compose(p: Path, q: Path) -> Path:
 
 def invert(p: Path) -> Path:
     """Reverse the step order and flip all signs."""
-    steps: list[RewriteStep] = []
-    current = p.target
-    for step in reversed(p.steps):
-        inv = RewriteStep(current, step.rule, step.pos, -step.sign)
-        steps.append(inv)
-        current = apply_step(inv)
-    return Path(p.target, tuple(steps))
+    return Path(
+        p.target,
+        tuple(RewriteStep(s.target, s.rule, s.pos, -s.sign) for s in reversed(p.steps)),
+    )
 
 
 def whisker(u: Word, p: Path, v: Word) -> Path:
-    """Embed a path in the context u·(-)·v, shifting step positions by |u|."""
-    steps = tuple(
-        RewriteStep(u + step.source + v, step.rule, step.pos + len(u), step.sign)
-        for step in p.steps
-    )
-    return Path(u + p.base + v, steps)
+    """Embed a path in the context u·(-)·v, shifting step positions by |u|;
+    each step starts at the previous one's target, so the two share a word."""
+    base = current = u + p.base + v
+    steps: list[RewriteStep] = []
+    for step in p.steps:
+        steps.append(RewriteStep(current, step.rule, step.pos + len(u), step.sign))
+        current = steps[-1].target
+    return Path(base, tuple(steps))
 
 
 def free_reduce(p: Path) -> Path:
@@ -90,13 +89,11 @@ def exchange_swap(p: Path, i: int) -> Path:
         # second acts left of the zone first rewrote
         new_first = RewriteStep(first.source, second.rule, b, second.sign)
         shift2 = len(second.replacement) - len(second.matched)
-        new_second = RewriteStep(
-            apply_step(new_first), first.rule, a + shift2, first.sign
-        )
+        new_second = RewriteStep(new_first.target, first.rule, a + shift2, first.sign)
     elif b >= a + len(first.replacement):
         # second acts right of it; undo the length shift
         new_first = RewriteStep(first.source, second.rule, b - shift1, second.sign)
-        new_second = RewriteStep(apply_step(new_first), first.rule, a, first.sign)
+        new_second = RewriteStep(new_first.target, first.rule, a, first.sign)
     else:
         raise DisjointnessError(
             f"steps {i} and {i + 1} act on overlapping factors"
@@ -154,5 +151,5 @@ def parse_path(text: str, pres: Presentation) -> Path:
             raise ParseError(f"unknown rule {rule_id!r}")
         step = RewriteStep(current, rule, int(pos_text), 1 if sign_text == "+" else -1)
         steps.append(step)
-        current = apply_step(step)
+        current = step.target
     return Path(base, tuple(steps))

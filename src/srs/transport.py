@@ -134,9 +134,10 @@ def functor_image(
     """Push a path through the translation: words translate letterwise and
     each rule application maps to the canonical path between its translated
     sides, in the translated context.  Composition, whiskering and closure
-    are preserved."""
+    are preserved.  The segments' steps are collected into one path, so the
+    cost grows linearly with the length of ``f``."""
     fwd = m.forward_map
-    image = Path(translate_word(f.base, fwd))
+    steps: list[RewriteStep] = []
     for step in f.steps:
         left = translate_word(step.source[: step.pos], fwd)
         right = translate_word(step.source[step.pos + len(step.matched) :], fwd)
@@ -145,8 +146,8 @@ def functor_image(
         )
         if step.sign < 0:
             segment = invert(segment)
-        image = compose(image, whisker(left, segment, right))
-    return image
+        steps += whisker(left, segment, right).steps
+    return Path(translate_word(f.base, fwd), tuple(steps))
 
 
 def _round_trip(w: Word, m: TranslationMap) -> Word:
@@ -158,15 +159,15 @@ def comparison_path(
 ) -> Path:
     """Canonical path from a word to its double translation, built letter by
     letter through the normal form each generator shares with its round
-    trip."""
-    path = Path(w)
+    trip, in one pass."""
+    steps: list[RewriteStep] = []
+    prefix_image: Word = ()
     for idx, g in enumerate(w):
-        prefix_image = _round_trip(w[:idx], m)
-        lam = compose(
-            normal_path(sigma, (g,)), invert(normal_path(sigma, _round_trip((g,), m)))
-        )
-        path = compose(path, whisker(prefix_image, lam, w[idx + 1 :]))
-    return path
+        g_image = _round_trip((g,), m)
+        lam = compose(normal_path(sigma, (g,)), invert(normal_path(sigma, g_image)))
+        steps += whisker(prefix_image, lam, w[idx + 1 :]).steps
+        prefix_image += g_image
+    return Path(w, tuple(steps))
 
 
 def comparison_loop(

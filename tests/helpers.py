@@ -14,6 +14,7 @@ from srs import (
     Presentation,
     Redex,
     RewriteStep,
+    TranslationMap,
     Word,
     apply_step,
     compose,
@@ -22,6 +23,7 @@ from srs import (
     invert,
     normal_path,
     parse_presentation,
+    translate_word,
     whisker,
 )
 
@@ -90,6 +92,87 @@ def normalize_oracle(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tupl
         steps.append(step)
         current = apply_step(step)
     return current, Path(w, tuple(steps))
+
+
+def apply_step_oracle(step: RewriteStep) -> Word:
+    """The target word of a step, by slicing its source: the rewrite every
+    caller did for itself before steps carried their target."""
+    n = len(step.matched)
+    return step.source[: step.pos] + step.replacement + step.source[step.pos + n :]
+
+
+def path_target_oracle(p: Path) -> Word:
+    """The target of a path by re-applying every step, checking each joint:
+    the walk ``Path`` construction did before it read the steps' targets."""
+    current = p.base
+    for step in p.steps:
+        if step.source != current:
+            raise ValueError(
+                f"step {step.rule.rule_id}@{step.pos} starts at "
+                f"{''.join(step.source) or 'ε'}, expected {''.join(current) or 'ε'}"
+            )
+        current = apply_step_oracle(step)
+    return current
+
+
+def invert_oracle(p: Path) -> Path:
+    """Reverse the step order and flip all signs, rewriting step by step."""
+    steps: list[RewriteStep] = []
+    current = p.target
+    for step in reversed(p.steps):
+        inv = RewriteStep(current, step.rule, step.pos, -step.sign)
+        steps.append(inv)
+        current = apply_step_oracle(inv)
+    return Path(p.target, tuple(steps))
+
+
+def whisker_oracle(u: Word, p: Path, v: Word) -> Path:
+    """Embed a path in the context u·(-)·v, wrapping each step's own source."""
+    steps = tuple(
+        RewriteStep(u + step.source + v, step.rule, step.pos + len(u), step.sign)
+        for step in p.steps
+    )
+    return Path(u + p.base + v, steps)
+
+
+def functor_image_oracle(
+    f: Path, m: TranslationMap, src: Presentation, dst: Presentation
+) -> Path:
+    """Push a path through a translation by composing one whiskered segment
+    at a time, each composite checked again from its base."""
+    fwd = m.forward_map
+    image = Path(translate_word(f.base, fwd))
+    for step in f.steps:
+        left = translate_word(step.source[: step.pos], fwd)
+        right = translate_word(step.source[step.pos + len(step.matched) :], fwd)
+        lhs_image = translate_word(step.rule.lhs, fwd)
+        rhs_image = translate_word(step.rule.rhs, fwd)
+        segment = compose(
+            normal_path(dst, lhs_image), invert_oracle(normal_path(dst, rhs_image))
+        )
+        if step.sign < 0:
+            segment = invert_oracle(segment)
+        image = compose(image, whisker_oracle(left, segment, right))
+    return image
+
+
+def comparison_path_oracle(
+    w: Word, m: TranslationMap, sigma: Presentation, upsilon: Presentation
+) -> Path:
+    """Path from a word to its double translation, composed letter by letter,
+    translating each prefix again."""
+
+    def round_trip(word: Word) -> Word:
+        return translate_word(translate_word(word, m.forward_map), m.backward_map)
+
+    path = Path(w)
+    for idx, g in enumerate(w):
+        prefix_image = round_trip(w[:idx])
+        lam = compose(
+            normal_path(sigma, (g,)), invert_oracle(normal_path(sigma, round_trip((g,))))
+        )
+        path = compose(path, whisker_oracle(prefix_image, lam, w[idx + 1 :]))
+    return path
 
 
 def reachable_normal_forms(p: Presentation, start: Word) -> set[Word]:

@@ -250,3 +250,23 @@ def test_usage_errors(as_file, capsys, tmp_path):
     code, _, err = run(capsys, "check", str(broken))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("role", ["presentation", "map"])
+def test_unreadable_file_is_a_diagnostic(as_file, tmp_path, capsys, role):
+    """A directory where a file is expected is reported like a missing file."""
+    ups = tmp_path / "ups.pres"
+    ups.write_text(UPSILON_TEXT, encoding="utf-8")
+    mapping = tmp_path / "map.txt"
+    mapping.write_text(MAP_TEXT, encoding="utf-8")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if role == "presentation":
+        argv = ("check", str(folder))
+    else:
+        argv = ("transport", as_file, str(ups), str(folder))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"srs: cannot read {folder}\n"
+    assert "Traceback" not in err
