@@ -61,7 +61,6 @@ from .track import (
     free_reduce,
     invert,
     parse_path,
-    target,
     whisker,
 )
 from .critical import (

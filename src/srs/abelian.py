@@ -34,7 +34,7 @@ from .rewrite import (
     normal_form,
     normal_path,
 )
-from .track import compose, free_reduce, invert, whisker
+from .track import compose, free_reduce, invert
 from .critical import (
     branching_key,
     critical_branchings,
@@ -81,10 +81,11 @@ def footprint(f: Path, p: Presentation) -> Footprint:
     """
     _require_convergent(p)
     out: Footprint = {}
-    for step in f.steps:
-        left = normal_form(p, step.source[: step.pos])
-        right = normal_form(p, step.source[step.pos + len(step.matched) :])
-        _bump(out, (left, step.rule.rule_id, right), step.sign)
+    for source, rule, pos, sign in f.walk():
+        matched = len(rule.lhs if sign > 0 else rule.rhs)
+        left = normal_form(p, source[:pos])
+        right = normal_form(p, source[pos + matched :])
+        _bump(out, (left, rule.rule_id, right), sign)
     return out
 
 
@@ -174,6 +175,7 @@ def _e_class(
     index: _BasisIndex,
     memo: dict,
     depth: int,
+    start: int = 0,
 ) -> tuple[PiElement, tuple[_RawEntry, ...]]:
     """Class of the loop comparing the step (source, rule, pos, +) against
     the canonical normalization of its source, by Noetherian recursion.
@@ -182,6 +184,17 @@ def _e_class(
     equals b (class zero), is disjoint from b (difference of the two
     residuals' classes), or overlaps b in a critical branching (one signed
     basis term plus the classes of the whiskered completions' steps).
+
+    ``start`` is a position no redex of ``source`` starts before, so the
+    scan for b begins there.  Each recursive call passes one: its source
+    keeps the prefix of this source before ``b_pos``, which holds no redex,
+    so a redex starting at ``q < b_pos`` must reach past a rewritten letter
+    and starts at most ``maxlhs - 1`` positions left of it.  That gives
+    ``b_pos - maxlhs + 1`` after the step b or inside a whiskered completion
+    (rewritten from ``b_pos`` on), and ``min(b_pos, pos - maxlhs + 1)``
+    after the given step (rewritten from ``pos`` on, prefix up to ``pos``
+    kept), each at least 0.  The hint changes no result, so the memo key
+    leaves it out.
     """
     key = (source, rule.rule_id, pos)
     cached = memo.get(key)
@@ -190,7 +203,7 @@ def _e_class(
     if depth > _MAX_DEPTH:
         raise FuelError(f"peak elimination exceeded its depth limit of {_MAX_DEPTH}")
 
-    first = first_redex(source, p)
+    first = first_redex(source, p, start)
     b_rule, b_pos = first.rule, first.pos
     if (b_rule.rule_id, b_pos) == (rule.rule_id, pos):
         result: tuple[PiElement, tuple[_RawEntry, ...]] = ({}, ())
@@ -198,13 +211,19 @@ def _e_class(
         return result
 
     m_b, m_s = len(b_rule.lhs), len(rule.lhs)
+    window = p.lhs_trie.depth - 1
     if b_pos + m_b <= pos:
         # disjoint: compare via the two residual steps across the square
         target_b = RewriteStep(source, b_rule, b_pos, 1).target
         target_s = RewriteStep(source, rule, pos, 1).target
         shift = len(b_rule.rhs) - m_b
-        pi_s, entries_s = _e_class(target_b, rule, pos + shift, p, index, memo, depth + 1)
-        pi_b, entries_b = _e_class(target_s, b_rule, b_pos, p, index, memo, depth + 1)
+        pi_s, entries_s = _e_class(
+            target_b, rule, pos + shift, p, index, memo, depth + 1, max(0, b_pos - window)
+        )
+        pi_b, entries_b = _e_class(
+            target_s, b_rule, b_pos, p, index, memo, depth + 1,
+            min(b_pos, max(0, pos - window)),
+        )
         pi: PiElement = dict(pi_s)
         _accumulate(pi, pi_b, -1)
         result = (pi, entries_s + _negate_entries(entries_b))
@@ -240,12 +259,15 @@ def _e_class(
     entries: list[_RawEntry] = [
         (beta_sign, left_ctx, right_ctx, source, basis_loop.basis_id)
     ]
+    hint = max(0, b_pos - window)
     for path, sign in ((completion_b, 1), (completion_s, -1)):
-        whiskered = whisker(left_ctx, path, right_ctx)
         collected: list[tuple[PiElement, tuple[_RawEntry, ...]]] = []
-        for step in whiskered.steps:
+        for step_source, step_rule, step_pos, _ in path.walk():
             collected.append(
-                _e_class(step.source, step.rule, step.pos, p, index, memo, depth + 1)
+                _e_class(
+                    left_ctx + step_source + right_ctx, step_rule, b_pos + step_pos,
+                    p, index, memo, depth + 1, hint,
+                )
             )
         if sign > 0:
             for sub_pi, sub_entries in collected:
@@ -308,19 +330,12 @@ def decompose_loop(f: Path, p: Presentation) -> DecompositionCertificate:
     memo: dict = {}
     pi: PiElement = {}
     raw: list[_RawEntry] = []
-    for step in f.steps:
-        if step.sign > 0:
-            sub_pi, sub_entries = _e_class(
-                step.source, step.rule, step.pos, p, index, memo, 0
-            )
-            _accumulate(pi, sub_pi, 1)
-            raw.extend(sub_entries)
-        else:
-            sub_pi, sub_entries = _e_class(
-                step.target, step.rule, step.pos, p, index, memo, 0
-            )
-            _accumulate(pi, sub_pi, -1)
-            raw.extend(_negate_entries(sub_entries))
+    for source, rule, pos, sign in f.walk():
+        # an inverse step is the positive step from its target, negated
+        word = source if sign > 0 else RewriteStep(source, rule, pos, sign).target
+        sub_pi, sub_entries = _e_class(word, rule, pos, p, index, memo, 0)
+        _accumulate(pi, sub_pi, sign)
+        raw.extend(sub_entries if sign > 0 else _negate_entries(sub_entries))
     entries = tuple(
         CertificateEntry(
             sign,

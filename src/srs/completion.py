@@ -204,9 +204,35 @@ def same_congruence(p: Presentation, q: Presentation, max_len: int) -> Congruenc
     bound = max_len + slack
     classes_p = _congruence_classes(p, bound)
     classes_q = _congruence_classes(q, bound)
-    words = [w for w in words_up_to(p.generators, max_len)]
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            if (classes_p[u] == classes_p[v]) != (classes_q[u] == classes_q[v]):
-                return CongruenceReport(max_len, (u, v))
-    return CongruenceReport(max_len, None)
+    words = list(words_up_to(p.generators, max_len))
+    return CongruenceReport(max_len, _first_split_pair(words, classes_p, classes_q))
+
+
+def _first_split_pair(
+    words: list[Word], classes_p: dict[Word, Word], classes_q: dict[Word, Word]
+) -> tuple[Word, Word] | None:
+    """The first pair ``(words[i], words[j])``, ``i < j``, in the order
+    (i, j), that one partition puts in one class and the other does not; None
+    when the partitions agree.
+
+    One pass over j.  For each class of either partition it keeps its first
+    word, that word's class in the other partition, and the first word of
+    the class that the other partition puts elsewhere: the least i that
+    splits from j is one of those two, and the least such i over all j,
+    first reached, gives the pair.
+    """
+    firsts: dict[tuple[int, Word], list] = {}
+    best: tuple[int, int] | None = None
+    for j, v in enumerate(words):
+        for side, cls, other in ((0, classes_p[v], classes_q[v]), (1, classes_q[v], classes_p[v])):
+            entry = firsts.setdefault((side, cls), [j, other, None])
+            head, head_other, split = entry
+            if head_other == other:
+                i = split
+            else:
+                i = head
+                if split is None:
+                    entry[2] = j
+            if i is not None and (best is None or i < best[0]):
+                best = (i, j)
+    return None if best is None else (words[best[0]], words[best[1]])

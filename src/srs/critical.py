@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotJoinableError
+from .errors import NotJoinableError, NotTerminatingError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
     Path,
@@ -115,8 +115,8 @@ def generating_confluence(b: CriticalBranching, p: Presentation) -> GeneratingCo
     Raises NotJoinableError when the branches reach distinct normal forms,
     which is precisely a local-confluence counterexample.
     """
-    step1 = Path(b.overlap, (RewriteStep(b.overlap, b.rule1, 0, 1),))
-    step2 = Path(b.overlap, (RewriteStep(b.overlap, b.rule2, b.offset, 1),))
+    step1 = Path.from_moves(b.overlap, [(b.rule1, 0, 1)])
+    step2 = Path.from_moves(b.overlap, [(b.rule2, b.offset, 1)])
     completion1 = normal_path(p, step1.target)
     completion2 = normal_path(p, step2.target)
     if completion1.target != completion2.target:
@@ -200,20 +200,38 @@ def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
     terminating presentations."""
     nf_sets: dict[Word, frozenset[Word]] = {}
 
-    def nfs(w: Word) -> frozenset[Word]:
-        cached = nf_sets.get(w)
-        if cached is not None:
-            return cached
-        redexes = find_redexes(w, p)
-        if not redexes:
-            result = frozenset((w,))
-        else:
-            out: set[Word] = set()
-            for redex in redexes:
-                out |= nfs(RewriteStep(w, redex.rule, redex.pos, 1).target)
-            result = frozenset(out)
-        nf_sets[w] = result
-        return result
+    def nfs(root: Word) -> frozenset[Word]:
+        # depth first with an explicit stack, since reductions can be longer
+        # than the interpreter's recursion limit; an entry's children are
+        # listed on its first visit and its set is formed on its second
+        stack: list[tuple[Word, tuple[Word, ...] | None]] = [(root, None)]
+        open_words: set[Word] = set()
+        while stack:
+            w, children = stack.pop()
+            if w in nf_sets:
+                continue
+            if children is None:
+                children = tuple(
+                    RewriteStep(w, redex.rule, redex.pos, 1).target
+                    for redex in find_redexes(w, p)
+                )
+                cycle = next((c for c in children if c in open_words), None)
+                if cycle is not None:
+                    raise NotTerminatingError(
+                        f"rewriting from {''.join(root) or 'ε'!r} returns to "
+                        f"{''.join(cycle) or 'ε'!r}"
+                    )
+                open_words.add(w)
+                stack.append((w, children))
+                stack.extend((c, None) for c in children if c not in nf_sets)
+                continue
+            open_words.discard(w)
+            nf_sets[w] = (
+                frozenset().union(*(nf_sets[c] for c in children))
+                if children
+                else frozenset((w,))
+            )
+        return nf_sets[root]
 
     for w in words_up_to(p.generators, max_len):
         forms = sorted(nfs(w))

@@ -13,14 +13,20 @@ many letters as the longest left-hand side.  No failure links are needed:
 ``normalize`` restarts its scan near the last step instead of at the start
 of the word (see there), which bounds the positions it rescans.
 
-A ``RewriteStep`` is the only code that rewrites a word: it computes its
-target once, when it checks its match, and everything else (paths,
-normalization, the path algebra, completion) reads that target.  A ``Path``
-checks only its joints, that each step starts where the previous one ended.
+A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
+triples: every word along it follows from those, so a stored path holds
+two words (its base and its target) however many steps it has.  One
+function, ``_rewrite``, rewrites a word: in place, on a list, after
+checking that the factor it replaces occurs there.  Building a path replays
+its moves on one working word, which checks the path and yields its target;
+``Path.walk`` replays them again for the consumers that need each step's
+source word, and ``Path.steps`` builds ``RewriteStep`` values (and keeps
+them) only when asked for; in the library only a path's hash and repr ask.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -50,6 +56,32 @@ class Redex:
         return self.rule.rule_id
 
 
+Move = tuple[Rule, int, int]
+"""A signed, positioned rule application without its word: (rule, pos, sign)."""
+
+
+def _rewrite(word: list[str], rule: Rule, pos: int, sign: int) -> None:
+    """Apply the move ``(rule, pos, sign)`` to ``word`` in place.
+
+    Sign +1 replaces the lhs by the rhs at ``pos``; sign -1 replaces the rhs
+    by the lhs.  Raises MatchError, leaving ``word`` unchanged, when the
+    factor to replace does not occur at ``pos``.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if pos < 0:
+        raise MatchError(f"negative position {pos}")
+    factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
+    end = pos + len(factor)
+    if pos > len(word) or tuple(word[pos:end]) != factor:
+        side = "lhs" if sign > 0 else "rhs"
+        raise MatchError(
+            f"{side} of rule {rule.rule_id} does not occur at "
+            f"position {pos} of {''.join(word) or 'ε'!r}"
+        )
+    word[pos:end] = replacement
+
+
 @dataclass(frozen=True, slots=True)
 class RewriteStep:
     """A signed, positioned rule application with its own source word.
@@ -67,20 +99,9 @@ class RewriteStep:
     target: Word = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        source, rule, pos, sign = self.source, self.rule, self.pos, self.sign
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if pos < 0:
-            raise MatchError(f"negative position {pos}")
-        factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
-        end = pos + len(factor)
-        if source[pos:end] != factor or pos > len(source):
-            side = "lhs" if sign > 0 else "rhs"
-            raise MatchError(
-                f"{side} of rule {rule.rule_id} does not occur at "
-                f"position {pos} of {''.join(source) or 'ε'!r}"
-            )
-        object.__setattr__(self, "target", source[:pos] + replacement + source[end:])
+        word = list(self.source)
+        _rewrite(word, self.rule, self.pos, self.sign)
+        object.__setattr__(self, "target", tuple(word))
 
     @property
     def matched(self) -> Word:
@@ -96,40 +117,95 @@ def apply_step(step: RewriteStep) -> Word:
     return step.target
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Path:
-    """A chain of rewriting steps starting at ``base``.
+    """A base word and the moves ``(rule, pos, sign)`` applied from it.
 
-    Consecutive steps must chain (each step's source is the previous
-    target); construction checks these joints, and reads each step's
-    target rather than rewriting again.  The empty path at a word is the
-    identity.  See the track module for the algebra on paths.
+    Every path is checked when it is built: ``Path.from_moves`` replays the
+    moves on one working word, and ``Path(base, steps)`` checks that each
+    ``RewriteStep`` starts where the previous one ended.  The target is
+    computed then, once; it takes no part in equality, hashing or the repr.
+    Equality compares base and moves; the hash and the repr are those of
+    ``(base, steps)``.  The empty path at a word is the identity.  See the
+    track module for the algebra on paths.
     """
 
     base: Word
-    steps: tuple[RewriteStep, ...] = ()
+    moves: tuple[Move, ...]
     target: Word = field(init=False, repr=False, compare=False)
+    _steps: tuple[RewriteStep, ...] | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        current = self.base
-        for step in self.steps:
+    def __init__(self, base: Word, steps: Iterable[RewriteStep] = ()):
+        current = base
+        moves: list[Move] = []
+        for step in steps:
             if step.source != current:
                 raise ValueError(
                     f"step {step.rule.rule_id}@{step.pos} starts at "
                     f"{''.join(step.source) or 'ε'}, expected {''.join(current) or 'ε'}"
                 )
+            moves.append((step.rule, step.pos, step.sign))
             current = step.target
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "moves", tuple(moves))
         object.__setattr__(self, "target", current)
+        object.__setattr__(self, "_steps", None)
+
+    @classmethod
+    def from_moves(cls, base: Word, moves: Iterable[Move]) -> Path:
+        """The path from ``base`` along ``moves``, checked by replaying them
+        in order; a move that does not match raises MatchError."""
+        word = list(base)
+        checked: list[Move] = []
+        for move in moves:
+            _rewrite(word, *move)
+            checked.append(move)
+        path = cls.__new__(cls)
+        object.__setattr__(path, "base", base)
+        object.__setattr__(path, "moves", tuple(checked))
+        object.__setattr__(path, "target", tuple(word))
+        object.__setattr__(path, "_steps", None)
+        return path
+
+    @property
+    def steps(self) -> tuple[RewriteStep, ...]:
+        """The moves as ``RewriteStep``s, each starting at the previous
+        one's target.  Built on the first access and then kept, so that
+        reads of one path share their words; in the library only the hash
+        and the repr read them, so the paths it builds and caches hold no
+        word per step."""
+        if self._steps is None:
+            steps: list[RewriteStep] = []
+            current = self.base
+            for move in self.moves:
+                steps.append(RewriteStep(current, *move))
+                current = steps[-1].target
+            object.__setattr__(self, "_steps", tuple(steps))
+        return self._steps
+
+    def walk(self) -> Iterator[tuple[Word, Rule, int, int]]:
+        """Each move as ``(source, rule, pos, sign)``, with the word it
+        starts at, in order."""
+        word = list(self.base)
+        for rule, pos, sign in self.moves:
+            yield tuple(word), rule, pos, sign
+            _rewrite(word, rule, pos, sign)
 
     @property
     def is_closed(self) -> bool:
         return self.base == self.target
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.moves)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.steps))
+
+    def __repr__(self) -> str:
+        return f"Path(base={self.base!r}, steps={self.steps!r})"
 
 
-def _rules_at(w: Word, pos: int, trie: LhsTrie) -> list[int]:
+def _rules_at(w: Sequence[str], pos: int, trie: LhsTrie) -> list[int]:
     """Indices of the rules whose left-hand side occurs in ``w`` at ``pos``,
     in the order the trie walk meets them."""
     edges, ends = trie.edges, trie.ends
@@ -143,7 +219,7 @@ def _rules_at(w: Word, pos: int, trie: LhsTrie) -> list[int]:
     return found
 
 
-def first_redex(w: Word, p: Presentation, start: int = 0) -> Redex | None:
+def first_redex(w: Sequence[str], p: Presentation, start: int = 0) -> Redex | None:
     """The leftmost redex of ``w`` at or after position ``start``, lowest
     rule index first; None when no left-hand side occurs there."""
     if start < 0:
@@ -186,25 +262,31 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
     scanning cost grows with the number of steps rather than with steps times word
     length times rules.
     """
-    window = p.lhs_trie.depth - 1
-    steps: list[RewriteStep] = []
-    current = w
+    trie = p.lhs_trie
+    window = trie.depth - 1
+    word = list(w)
+    moves: list[Move] = []
     remaining = fuel
     start = 0
     while True:
-        redex = first_redex(current, p, start)
-        if redex is None:
+        # the scan of first_redex, without building a Redex per step
+        for pos in range(start, len(word)):
+            found = _rules_at(word, pos, trie)
+            if found:
+                break
+        else:
             break
         if remaining <= 0:
             raise FuelError(
                 f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}"
             )
         remaining -= 1
-        step = RewriteStep(current, redex.rule, redex.pos, 1)
-        steps.append(step)
-        current = step.target
-        start = max(0, redex.pos - window)
-    return current, Path(w, tuple(steps))
+        move = (p.rules[min(found)], pos, 1)
+        _rewrite(word, *move)
+        moves.append(move)
+        start = max(0, pos - window)
+    path = Path.from_moves(w, moves)
+    return path.target, path
 
 
 @lru_cache(maxsize=None)

@@ -13,14 +13,10 @@ from __future__ import annotations
 import re
 
 from .errors import BoundaryError, DisjointnessError, ParseError
-from .presentation import Presentation, Word, format_word, parse_word
-from .rewrite import Path, RewriteStep
+from .presentation import Presentation, Rule, Word, format_word, parse_word
+from .rewrite import Move, Path, RewriteStep
 
 _STEP_RE = re.compile(r"([+-])([A-Za-z0-9_]+)@(\d+)\Z")
-
-
-def target(p: Path) -> Word:
-    return p.target
 
 
 def compose(p: Path, q: Path) -> Path:
@@ -30,75 +26,67 @@ def compose(p: Path, q: Path) -> Path:
             f"cannot compose: first path ends at {''.join(p.target) or 'ε'}, "
             f"second starts at {''.join(q.base) or 'ε'}"
         )
-    return Path(p.base, p.steps + q.steps)
+    return Path.from_moves(p.base, p.moves + q.moves)
 
 
 def invert(p: Path) -> Path:
-    """Reverse the step order and flip all signs."""
-    return Path(
-        p.target,
-        tuple(RewriteStep(s.target, s.rule, s.pos, -s.sign) for s in reversed(p.steps)),
-    )
+    """Reverse the move order and flip all signs."""
+    return Path.from_moves(p.target, [(rule, pos, -sign) for rule, pos, sign in reversed(p.moves)])
+
+
+def shift_moves(moves: tuple[Move, ...], offset: int) -> list[Move]:
+    """The moves with every position moved right by ``offset``: the moves
+    of a path whiskered on the left by a word of that length."""
+    return [(rule, pos + offset, sign) for rule, pos, sign in moves]
 
 
 def whisker(u: Word, p: Path, v: Word) -> Path:
-    """Embed a path in the context u·(-)·v, shifting step positions by |u|;
-    each step starts at the previous one's target, so the two share a word."""
-    base = current = u + p.base + v
-    steps: list[RewriteStep] = []
-    for step in p.steps:
-        steps.append(RewriteStep(current, step.rule, step.pos + len(u), step.sign))
-        current = steps[-1].target
-    return Path(base, tuple(steps))
+    """Embed a path in the context u·(-)·v, shifting move positions by |u|."""
+    return Path.from_moves(u + p.base + v, shift_moves(p.moves, len(u)))
 
 
 def free_reduce(p: Path) -> Path:
-    """Delete adjacent step pairs that are exact mutual inverses (same rule,
+    """Delete adjacent move pairs that are exact mutual inverses (same rule,
     same position, opposite signs) until none remain.  Endpoints are kept."""
-    stack: list[RewriteStep] = []
-    for step in p.steps:
-        if (
-            stack
-            and stack[-1].rule == step.rule
-            and stack[-1].pos == step.pos
-            and stack[-1].sign == -step.sign
-        ):
+    stack: list[Move] = []
+    for move in p.moves:
+        rule, pos, sign = move
+        if stack and stack[-1] == (rule, pos, -sign):
             stack.pop()
         else:
-            stack.append(step)
-    return Path(p.base, tuple(stack))
+            stack.append(move)
+    return Path.from_moves(p.base, stack)
 
 
-def _span(step: RewriteStep) -> tuple[int, int]:
-    return step.pos, step.pos + len(step.matched)
+def _sizes(move: Move) -> tuple[int, int]:
+    """Lengths of the factor a move replaces and of the factor it writes."""
+    rule, _, sign = move
+    return (len(rule.lhs), len(rule.rhs)) if sign > 0 else (len(rule.rhs), len(rule.lhs))
 
 
 def exchange_swap(p: Path, i: int) -> Path:
-    """Swap steps i and i+1 when they act on disjoint factors.
+    """Swap moves i and i+1 when they act on disjoint factors.
 
-    The two steps are re-based on each other's residuals; the endpoints of
+    The two moves are re-based on each other's residuals; the endpoints of
     the path are unchanged, and swapping twice restores the original.
     """
-    if not 0 <= i < len(p.steps) - 1:
+    if not 0 <= i < len(p.moves) - 1:
         raise DisjointnessError(f"no adjacent pair at index {i}")
-    first, second = p.steps[i], p.steps[i + 1]
-    a, _ = _span(first)
-    shift1 = len(first.replacement) - len(first.matched)
-    b, b_end = _span(second)
-    if b_end <= a:
+    first, second = p.moves[i], p.moves[i + 1]
+    (rule1, a, sign1), (rule2, b, sign2) = first, second
+    matched1, written1 = _sizes(first)
+    matched2, written2 = _sizes(second)
+    if b + matched2 <= a:
         # second acts left of the zone first rewrote
-        new_first = RewriteStep(first.source, second.rule, b, second.sign)
-        shift2 = len(second.replacement) - len(second.matched)
-        new_second = RewriteStep(new_first.target, first.rule, a + shift2, first.sign)
-    elif b >= a + len(first.replacement):
+        swapped = (second, (rule1, a + written2 - matched2, sign1))
+    elif b >= a + written1:
         # second acts right of it; undo the length shift
-        new_first = RewriteStep(first.source, second.rule, b - shift1, second.sign)
-        new_second = RewriteStep(new_first.target, first.rule, a, first.sign)
+        swapped = ((rule2, b - (written1 - matched1), sign2), first)
     else:
         raise DisjointnessError(
             f"steps {i} and {i + 1} act on overlapping factors"
         )
-    return Path(p.base, p.steps[:i] + (new_first, new_second) + p.steps[i + 2 :])
+    return Path.from_moves(p.base, p.moves[:i] + swapped + p.moves[i + 2 :])
 
 
 def conjugate(f: Path, g: Path) -> Path:
@@ -117,20 +105,24 @@ def conjugate(f: Path, g: Path) -> Path:
 # textual path syntax: `<word>: +rule@pos -rule@pos ...`
 
 
+def _format_move(rule: Rule, pos: int, sign: int) -> str:
+    return f"{'+' if sign > 0 else '-'}{rule.rule_id}@{pos}"
+
+
 def format_step(step: RewriteStep) -> str:
-    sign = "+" if step.sign > 0 else "-"
-    return f"{sign}{step.rule.rule_id}@{step.pos}"
+    return _format_move(step.rule, step.pos, step.sign)
 
 
 def format_path(p: Path, pres: Presentation) -> str:
     head = f"{format_word(p.base, pres)}:"
-    if not p.steps:
+    if not p.moves:
         return head
-    return head + " " + " ".join(format_step(s) for s in p.steps)
+    return head + " " + " ".join(_format_move(*move) for move in p.moves)
 
 
 def parse_path(text: str, pres: Presentation) -> Path:
-    """Parse the path syntax; each step is validated against the running word."""
+    """Parse the path syntax; each step is validated against the running
+    word as it is read, so the first fault in the text is the one reported."""
     s = text.strip()
     if ":" in s:
         word_text, _, step_text = s.partition(":")
@@ -139,17 +131,16 @@ def parse_path(text: str, pres: Presentation) -> Path:
         word_text = parts[0] if parts else ""
         step_text = parts[1] if len(parts) > 1 else ""
     base = parse_word(word_text, pres)
-    current = base
-    steps: list[RewriteStep] = []
-    for token in step_text.split():
-        m = _STEP_RE.match(token)
-        if not m:
-            raise ParseError(f"bad step {token!r}, expected ±<rule>@<pos>")
-        sign_text, rule_id, pos_text = m.groups()
-        rule = pres.rule_by_id.get(rule_id)
-        if rule is None:
-            raise ParseError(f"unknown rule {rule_id!r}")
-        step = RewriteStep(current, rule, int(pos_text), 1 if sign_text == "+" else -1)
-        steps.append(step)
-        current = step.target
-    return Path(base, tuple(steps))
+
+    def moves():
+        for token in step_text.split():
+            m = _STEP_RE.match(token)
+            if not m:
+                raise ParseError(f"bad step {token!r}, expected ±<rule>@<pos>")
+            sign_text, rule_id, pos_text = m.groups()
+            rule = pres.rule_by_id.get(rule_id)
+            if rule is None:
+                raise ParseError(f"unknown rule {rule_id!r}")
+            yield rule, int(pos_text), 1 if sign_text == "+" else -1
+
+    return Path.from_moves(base, moves())

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 
 from .errors import TranslationError
 from .presentation import Presentation, Rule, Word, format_word, parse_word, ParseError
-from .rewrite import Path, RewriteStep, normal_form, normal_path
-from .track import compose, free_reduce, invert, whisker
+from .rewrite import Move, Path, normal_form, normal_path
+from .track import compose, free_reduce, invert, shift_moves
 from .critical import is_convergent
 
 
@@ -123,8 +123,8 @@ def check_translation(
 
 @lru_cache(maxsize=None)
 def _rule_image(dst: Presentation, lhs_image: Word, rhs_image: Word) -> Path:
-    """Canonical path between the images of a rule's sides: down to the
-    common normal form and back up."""
+    """Canonical path between two congruent words, such as the images of a
+    rule's sides: down to the common normal form and back up."""
     return compose(normal_path(dst, lhs_image), invert(normal_path(dst, rhs_image)))
 
 
@@ -134,20 +134,18 @@ def functor_image(
     """Push a path through the translation: words translate letterwise and
     each rule application maps to the canonical path between its translated
     sides, in the translated context.  Composition, whiskering and closure
-    are preserved.  The segments' steps are collected into one path, so the
+    are preserved.  The segments' moves are collected into one path, so the
     cost grows linearly with the length of ``f``."""
     fwd = m.forward_map
-    steps: list[RewriteStep] = []
-    for step in f.steps:
-        left = translate_word(step.source[: step.pos], fwd)
-        right = translate_word(step.source[step.pos + len(step.matched) :], fwd)
+    moves: list[Move] = []
+    for source, rule, pos, sign in f.walk():
         segment = _rule_image(
-            dst, translate_word(step.rule.lhs, fwd), translate_word(step.rule.rhs, fwd)
+            dst, translate_word(rule.lhs, fwd), translate_word(rule.rhs, fwd)
         )
-        if step.sign < 0:
+        if sign < 0:
             segment = invert(segment)
-        steps += whisker(left, segment, right).steps
-    return Path(translate_word(f.base, fwd), tuple(steps))
+        moves += shift_moves(segment.moves, len(translate_word(source[:pos], fwd)))
+    return Path.from_moves(translate_word(f.base, fwd), moves)
 
 
 def _round_trip(w: Word, m: TranslationMap) -> Word:
@@ -160,14 +158,13 @@ def comparison_path(
     """Canonical path from a word to its double translation, built letter by
     letter through the normal form each generator shares with its round
     trip, in one pass."""
-    steps: list[RewriteStep] = []
-    prefix_image: Word = ()
-    for idx, g in enumerate(w):
+    moves: list[Move] = []
+    offset = 0
+    for g in w:
         g_image = _round_trip((g,), m)
-        lam = compose(normal_path(sigma, (g,)), invert(normal_path(sigma, g_image)))
-        steps += whisker(prefix_image, lam, w[idx + 1 :]).steps
-        prefix_image += g_image
-    return Path(w, tuple(steps))
+        moves += shift_moves(_rule_image(sigma, (g,), g_image).moves, offset)
+        offset += len(g_image)
+    return Path.from_moves(w, moves)
 
 
 def comparison_loop(
@@ -188,7 +185,7 @@ def rule_comparison_loop(
     rule: Rule, m: TranslationMap, sigma: Presentation, upsilon: Presentation
 ) -> Path:
     """Comparison loop of a single rule application at its left-hand side."""
-    f = Path(rule.lhs, (RewriteStep(rule.lhs, rule, 0, 1),))
+    f = Path.from_moves(rule.lhs, [(rule, 0, 1)])
     return comparison_loop(f, m, sigma, upsilon)
 
 

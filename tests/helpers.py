@@ -175,6 +175,68 @@ def comparison_path_oracle(
     return path
 
 
+def free_reduce_oracle(p: Path) -> Path:
+    """Cancel adjacent mutually inverse steps with a stack of RewriteSteps:
+    the free reduction that ran on stored steps before paths were moves."""
+    stack: list[RewriteStep] = []
+    for step in p.steps:
+        if (
+            stack
+            and stack[-1].rule == step.rule
+            and stack[-1].pos == step.pos
+            and stack[-1].sign == -step.sign
+        ):
+            stack.pop()
+        else:
+            stack.append(step)
+    return Path(p.base, tuple(stack))
+
+
+def exchange_swap_oracle(p: Path, i: int) -> Path:
+    """Swap steps i and i+1 by re-basing RewriteSteps on each other's
+    residuals: the exchange that ran on stored steps before paths were
+    moves.  Raises ValueError where the steps overlap."""
+    first, second = p.steps[i], p.steps[i + 1]
+    a, b = first.pos, second.pos
+    shift1 = len(first.replacement) - len(first.matched)
+    if b + len(second.matched) <= a:
+        new_first = RewriteStep(first.source, second.rule, b, second.sign)
+        shift2 = len(second.replacement) - len(second.matched)
+        new_second = RewriteStep(new_first.target, first.rule, a + shift2, first.sign)
+    elif b >= a + len(first.replacement):
+        new_first = RewriteStep(first.source, second.rule, b - shift1, second.sign)
+        new_second = RewriteStep(new_first.target, first.rule, a, first.sign)
+    else:
+        raise ValueError("overlapping steps")
+    return Path(p.base, p.steps[:i] + (new_first, new_second) + p.steps[i + 2 :])
+
+
+def footprint_oracle(f: Path, p: Presentation) -> dict:
+    """Footprint from each stored step's own source word, with normal forms
+    from ``normalize_oracle``."""
+    out: dict = {}
+    for step in f.steps:
+        left = normalize_oracle(step.source[: step.pos], p)[0]
+        right = normalize_oracle(step.source[step.pos + len(step.matched) :], p)[0]
+        key = (left, step.rule.rule_id, right)
+        out[key] = out.get(key, 0) + step.sign
+        if not out[key]:
+            del out[key]
+    return out
+
+
+def first_split_pair_oracle(
+    words: list[Word], classes_p: dict, classes_q: dict
+) -> tuple[Word, Word] | None:
+    """Compare every pair of words in order: the first pair that one
+    partition joins and the other separates, or None."""
+    for i, u in enumerate(words):
+        for v in words[i + 1 :]:
+            if (classes_p[u] == classes_p[v]) != (classes_q[u] == classes_q[v]):
+                return u, v
+    return None
+
+
 def reachable_normal_forms(p: Presentation, start: Word) -> set[Word]:
     """Breadth-first forward reduction; the set of all normal forms reachable
     from ``start``.  Independent of the deterministic strategy."""

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
+import srs
 from srs import abelian
 from srs.cli import _build_parser, main
 from helpers import AS_TEXT, TWO_TEXT
@@ -270,3 +274,26 @@ def test_unreadable_file_is_a_diagnostic(as_file, tmp_path, capsys, role):
     assert out == ""
     assert err == f"srs: cannot read {folder}\n"
     assert "Traceback" not in err
+
+
+def test_brute_force_check_of_a_long_chain_has_no_traceback(tmp_path):
+    """Reductions longer than the recursion limit: the chain r_i: g_i -> g_(i-1),
+    declared from g1199 down, reduces g1199 in 1199 steps."""
+    n = 1200
+    chain = tmp_path / "chain.pres"
+    chain.write_text(
+        "generators: " + " ".join(f"g{i}" for i in reversed(range(n))) + "\n"
+        "order: shortlex " + " < ".join(f"g{i}" for i in range(n)) + "\n"
+        "rules:\n" + "".join(f" r{i}: g{i} -> g{i - 1}\n" for i in range(1, n)),
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "srs.cli", "check", str(chain), "--max-len", "1"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(FilePath(srs.__file__).resolve().parent.parent)},
+        timeout=120,
+    )
+    assert result.returncode in (0, 2), result.stderr
+    assert "Traceback" not in result.stderr
+    assert "brute force (≤1): confluent" in result.stdout

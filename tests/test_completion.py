@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srs import (
     FuelError,
@@ -8,10 +12,14 @@ from srs import (
     knuth_bendix,
     parse_presentation,
     same_congruence,
+    words_up_to,
 )
+from srs.completion import _congruence_classes, _first_split_pair
 from helpers import (
     as_presentation,
     congruence_classes_oracle,
+    first_split_pair_oracle,
+    random_terminating_presentation,
     two_rule_presentation,
     w,
 )
@@ -124,3 +132,37 @@ def test_inter_reduction_drops_redundant_rule():
     assert any(e.kind == "remove" and e.rule_id == "big" for e in trace)
     assert is_convergent(done).ok
     assert same_congruence(p, done, 5).agree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_first_split_pair_agrees_with_the_pairwise_loop(seed):
+    rng = random.Random(seed)
+    words = [(str(i),) for i in range(rng.randint(0, 12))]
+    classes = rng.randint(1, 4)
+    classes_p = {v: (str(rng.randrange(classes)),) for v in words}
+    classes_q = dict(classes_p) if rng.random() < 0.3 else {
+        v: (str(rng.randrange(classes)),) for v in words
+    }
+    assert _first_split_pair(words, classes_p, classes_q) == first_split_pair_oracle(
+        words, classes_p, classes_q
+    )
+
+
+def test_same_congruence_witness_matches_the_pairwise_loop():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(80):
+        p = random_terminating_presentation(rng)
+        q = random_terminating_presentation(rng)
+        if p.generators != q.generators:
+            continue
+        bound = 3 + max(len(r.lhs) for r in p.rules + q.rules)
+        expected = first_split_pair_oracle(
+            list(words_up_to(p.generators, 3)),
+            _congruence_classes(p, bound),
+            _congruence_classes(q, bound),
+        )
+        assert same_congruence(p, q, 3).witness == expected
+        checked += expected is not None
+    assert checked > 10

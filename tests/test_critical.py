@@ -4,6 +4,7 @@ import pytest
 
 from srs import (
     NotJoinableError,
+    NotTerminatingError,
     brute_force_confluence,
     critical_branchings,
     format_path,
@@ -11,11 +12,13 @@ from srs import (
     is_convergent,
     is_locally_confluent,
     parse_presentation,
+    words_up_to,
 )
 from helpers import (
     as_presentation,
     four_rule_presentation,
     random_terminating_presentation,
+    reachable_normal_forms,
     two_rule_presentation,
     w,
 )
@@ -156,3 +159,23 @@ def test_basis_construction_is_reproducible():
     assert [footprint(bl.loop, first) for bl in loops1] == [
         footprint(bl.loop, second) for bl in loops2
     ]
+
+
+def test_brute_force_agrees_with_reachable_normal_forms():
+    rng = random.Random(11)
+    for _ in range(60):
+        p = random_terminating_presentation(rng)
+        report = brute_force_confluence(p, 5)
+        expected = None
+        for word in words_up_to(p.generators, 5):
+            forms = sorted(reachable_normal_forms(p, word))
+            if len(forms) > 1:
+                expected = (word, forms[0], forms[1])
+                break
+        assert report.counterexample == expected
+
+
+def test_brute_force_reports_a_rewriting_cycle():
+    p = parse_presentation("generators: a b\norder: shortlex a < b\nrules:\n r1: a -> b\n r2: b -> a\n")
+    with pytest.raises(NotTerminatingError, match="returns to"):
+        brute_force_confluence(p, 1)
