@@ -34,7 +34,6 @@ from .rewrite import (
     normal_form,
     normal_path,
 )
-from .track import compose, free_reduce, invert
 from .critical import (
     branching_key,
     critical_branchings,
@@ -336,14 +335,25 @@ def decompose_loop(f: Path, p: Presentation) -> DecompositionCertificate:
         sub_pi, sub_entries = _e_class(word, rule, pos, p, index, memo, 0)
         _accumulate(pi, sub_pi, sign)
         raw.extend(sub_entries if sign > 0 else _negate_entries(sub_entries))
+    head = normal_path(p, f.base).moves
+    conjugators: dict[Word, Path] = {}
+
+    def conjugator(base: Word) -> Path:
+        # the free reduction of (normal path of f.base) ⁎ (normal path of
+        # base)⁻: both paths are positive, so it cancels exactly the common
+        # suffix of their moves, and one replay builds what is left
+        path = conjugators.get(base)
+        if path is None:
+            tail = normal_path(p, base).moves
+            k = 0
+            while k < min(len(head), len(tail)) and head[-1 - k] == tail[-1 - k]:
+                k += 1
+            back = [(rule, pos, -sign) for rule, pos, sign in reversed(tail[: len(tail) - k])]
+            path = conjugators[base] = Path.from_moves(f.base, head[: len(head) - k] + tuple(back))
+        return path
+
     entries = tuple(
-        CertificateEntry(
-            sign,
-            left,
-            right,
-            free_reduce(compose(normal_path(p, f.base), invert(normal_path(p, base)))),
-            bid,
-        )
+        CertificateEntry(sign, left, right, conjugator(base), bid)
         for sign, left, right, base, bid in raw
     )
     return DecompositionCertificate(f, entries, pi)

@@ -23,7 +23,7 @@ from .presentation import (
     compare_words,
 )
 from .rewrite import RewriteStep, check_termination, find_redexes, normalize
-from .critical import critical_branchings, words_up_to
+from .critical import _branchings_in_order, words_up_to
 
 DEFAULT_RULE_FUEL = 256
 
@@ -59,10 +59,22 @@ def knuth_bendix(
 ) -> tuple[Presentation, tuple[CompletionEvent, ...]]:
     """Complete a terminating presentation into a convergent one.
 
-    Branchings are processed in their canonical sorted order and the rule
-    set is re-enumerated after every addition, so the result is
-    deterministic.  ``fuel`` bounds the number of added rules; exceeding it
-    raises FuelError.  Every added rule's sides are congruent in the input
+    After every addition the critical branchings of the inter-reduced rule
+    set are walked again in their canonical order (that of
+    ``critical_branchings``), and the first one whose two sides reach
+    distinct normal forms gives the next rule; the walk stops there, so the
+    result is deterministic and only the branchings read are enumerated.
+    The overlaps of each pair of left-hand sides are computed once per run.
+
+    Branchings found joinable before are normalized again on every walk:
+    the rule set is not yet confluent, so an added rule can move a side's
+    leftmost normal form, and a branching joinable under one rule set can
+    be unjoinable under the next (on ``r1: a b a -> b a``, ``r2: b b -> b a``,
+    the r1/r1 branching at ``a b a b a`` does so once ``b a b -> b a a`` is
+    added).  Skipping such re-checks would change which rules are added.
+
+    ``fuel`` bounds the number of added rules; exceeding it raises
+    FuelError.  Every added rule's sides are congruent in the input
     presentation by construction.
     """
     if not check_termination(p).ok:
@@ -126,11 +138,12 @@ def knuth_bendix(
                     changed = True
                     break
 
+    overlaps: dict = {}
     simplify()
     while True:
         current = _with_rules(p, rules)
         pending = None
-        for b in critical_branchings(current):
+        for b in _branchings_in_order(current, overlaps):
             left = RewriteStep(b.overlap, b.rule1, 0, 1).target
             right = RewriteStep(b.overlap, b.rule2, b.offset, 1).target
             nf_left, _ = normalize(left, current)

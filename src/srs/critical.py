@@ -10,6 +10,7 @@ and then confluent by Newman's lemma.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,40 +56,56 @@ def branching_key(overlap: Word, redex_a: tuple[str, int], redex_b: tuple[str, i
     return overlap, tuple(sorted([(redex_a[1], redex_a[0]), (redex_b[1], redex_b[0])]))
 
 
-def critical_branchings(p: Presentation) -> tuple[CriticalBranching, ...]:
-    """All critical branchings, each unordered redex pair reported once,
-    sorted by (rule1 index, rule2 index, offset)."""
-    found: dict[object, CriticalBranching] = {}
+def _overlaps(l1: Word, l2: Word, same_rule: bool) -> tuple[tuple[int, Word, str], ...]:
+    """The (offset, overlap word, kind) of every overlap of ``l2`` on ``l1``,
+    by offset.  Containments sit at offsets up to ``len(l1) - len(l2)`` and
+    proper overlaps above it, so no offset has both kinds."""
+    found = []
+    # containments: l2 occurs inside l1 (a rule against itself at 0 excluded)
+    for off in range(len(l1) - len(l2) + 1):
+        if l1[off : off + len(l2)] == l2 and not (same_rule and off == 0):
+            found.append((off, l1, CONTAINMENT))
+    # proper overlaps: a suffix of l1 is a prefix of l2 sticking out
+    for off in range(max(1, len(l1) - len(l2) + 1), len(l1)):
+        k = len(l1) - off
+        if l1[off:] == l2[:k]:
+            found.append((off, l1 + l2[k:], PROPER))
+    return tuple(found)
+
+
+def _branchings_in_order(
+    p: Presentation, overlaps: dict[tuple[Word, Word, bool], tuple]
+) -> Iterator[CriticalBranching]:
+    """Critical branchings in the order (rule1 index, rule2 index, offset),
+    each unordered redex pair once, at its first place in that order (two
+    rules with the same lhs meet at offset 0 in both orders).
+
+    Overlaps depend only on the two left-hand sides, so ``overlaps`` keeps
+    each pair's under ``(lhs1, lhs2, same rule)``; a caller that walks the
+    branchings of many rule sets of one run passes the same dict to all.
+    """
+    seen = set()
     for i, r1 in enumerate(p.rules):
         for j, r2 in enumerate(p.rules):
-            l1, l2 = r1.lhs, r2.lhs
-            # proper overlaps: a suffix of l1 is a prefix of l2 sticking out
-            for off in range(1, len(l1)):
-                k = len(l1) - off
-                if k < len(l2) and l1[off:] == l2[:k]:
-                    overlap = l1 + l2[k:]
-                    key = branching_key(overlap, (r1.rule_id, 0), (r2.rule_id, off))
-                    found.setdefault(
-                        key, CriticalBranching(r1, r2, off, overlap, PROPER)
-                    )
-            # containments: l2 occurs inside l1 (same-position same-rule excluded)
-            if len(l2) <= len(l1):
-                for off in range(len(l1) - len(l2) + 1):
-                    if l1[off : off + len(l2)] == l2 and not (i == j and off == 0):
-                        key = branching_key(l1, (r1.rule_id, 0), (r2.rule_id, off))
-                        found.setdefault(
-                            key, CriticalBranching(r1, r2, off, l1, CONTAINMENT)
-                        )
-    return tuple(
-        sorted(
-            found.values(),
-            key=lambda b: (
-                p.rule_position[b.rule1.rule_id],
-                p.rule_position[b.rule2.rule_id],
-                b.offset,
-            ),
-        )
-    )
+            pair = (r1.lhs, r2.lhs, i == j)
+            found = overlaps.get(pair)
+            if found is None:
+                found = overlaps[pair] = _overlaps(*pair)
+            for off, overlap, kind in found:
+                key = branching_key(overlap, (r1.rule_id, 0), (r2.rule_id, off))
+                if key not in seen:
+                    seen.add(key)
+                    yield CriticalBranching(r1, r2, off, overlap, kind)
+
+
+def critical_branchings(p: Presentation) -> tuple[CriticalBranching, ...]:
+    """All critical branchings, each unordered redex pair reported once, in
+    the order (rule1 index, rule2 index, offset).
+
+    Completion walks the same sequence lazily (``_branchings_in_order``) and
+    stops at its first unjoinable branching instead of listing them all.
+    """
+    return tuple(_branchings_in_order(p, {}))
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,11 @@ def exchange_swap(p: Path, i: int) -> Path:
     """Swap moves i and i+1 when they act on disjoint factors.
 
     The two moves are re-based on each other's residuals; the endpoints of
-    the path are unchanged, and swapping twice restores the original.
+    the path are unchanged.  Swapping twice restores the original unless
+    move i replaces an empty factor, move i+1 writes an empty one, and
+    move i+1's factor ends where move i's begins.  On ``r2: a -> ε``, both
+    ``ba: -r2@2 +r2@1`` and ``ba: -r2@1 +r2@2`` swap to
+    ``ba: +r2@1 -r2@1``, which swaps back to the second only.
     """
     if not 0 <= i < len(p.moves) - 1:
         raise DisjointnessError(f"no adjacent pair at index {i}")

@@ -9,23 +9,33 @@ from collections import deque
 
 from srs import (
     DEFAULT_FUEL,
+    DEFAULT_RULE_FUEL,
+    CompletionEvent,
+    CriticalBranching,
     FuelError,
+    NotTerminatingError,
     Path,
     Presentation,
     Redex,
     RewriteStep,
+    Rule,
     TranslationMap,
     Word,
     apply_step,
+    check_termination,
     compose,
     conjugate,
     find_redexes,
+    free_reduce,
     invert,
     normal_path,
+    normalize,
     parse_presentation,
     translate_word,
     whisker,
 )
+from srs.completion import _orient, _with_rules
+from srs.critical import CONTAINMENT, PROPER, branching_key
 
 AS_TEXT = "generators: a\norder: shortlex a\nrules:\n r: a a -> a\n"
 
@@ -235,6 +245,122 @@ def first_split_pair_oracle(
             if (classes_p[u] == classes_p[v]) != (classes_q[u] == classes_q[v]):
                 return u, v
     return None
+
+
+def critical_branchings_oracle(p: Presentation) -> tuple[CriticalBranching, ...]:
+    """Every overlap of every rule pair collected in a dict keyed by
+    ``branching_key`` (first insertion kept), then sorted by (rule1 index,
+    rule2 index, offset): the enumeration the in-order walk replaced."""
+    found: dict[object, CriticalBranching] = {}
+    for i, r1 in enumerate(p.rules):
+        for j, r2 in enumerate(p.rules):
+            l1, l2 = r1.lhs, r2.lhs
+            for off in range(1, len(l1)):
+                k = len(l1) - off
+                if k < len(l2) and l1[off:] == l2[:k]:
+                    overlap = l1 + l2[k:]
+                    key = branching_key(overlap, (r1.rule_id, 0), (r2.rule_id, off))
+                    found.setdefault(key, CriticalBranching(r1, r2, off, overlap, PROPER))
+            if len(l2) <= len(l1):
+                for off in range(len(l1) - len(l2) + 1):
+                    if l1[off : off + len(l2)] == l2 and not (i == j and off == 0):
+                        key = branching_key(l1, (r1.rule_id, 0), (r2.rule_id, off))
+                        found.setdefault(key, CriticalBranching(r1, r2, off, l1, CONTAINMENT))
+    return tuple(
+        sorted(
+            found.values(),
+            key=lambda b: (
+                p.rule_position[b.rule1.rule_id],
+                p.rule_position[b.rule2.rule_id],
+                b.offset,
+            ),
+        )
+    )
+
+
+def knuth_bendix_oracle(
+    p: Presentation, fuel: int = DEFAULT_RULE_FUEL
+) -> tuple[Presentation, tuple[CompletionEvent, ...]]:
+    """Completion that lists and sorts every critical branching of the rule
+    set after each added rule (``critical_branchings_oracle``) and then
+    walks the list: the loop the lazy in-order walk replaced."""
+    if not check_termination(p).ok:
+        raise NotTerminatingError("completion requires a terminating presentation")
+
+    rules: list[Rule] = list(p.rules)
+    trace: list[CompletionEvent] = []
+    used_ids = {r.rule_id for r in rules}
+    counter = itertools.count(1)
+    added = 0
+
+    def fresh_id() -> str:
+        while True:
+            cand = f"kb{next(counter)}"
+            if cand not in used_ids:
+                used_ids.add(cand)
+                return cand
+
+    def add_rule(u: Word, v: Word, overlap: Word | None):
+        nonlocal added
+        lhs, rhs = _orient(p, u, v)
+        added += 1
+        if added > fuel:
+            raise FuelError(f"completion did not finish within {fuel} added rules")
+        rule = Rule(fresh_id(), lhs, rhs)
+        rules.append(rule)
+        trace.append(CompletionEvent("add", rule.rule_id, lhs, rhs, overlap))
+
+    def simplify():
+        changed = True
+        while changed:
+            changed = False
+            current = _with_rules(p, rules)
+            for idx, rule in enumerate(rules):
+                if all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, current)):
+                    continue
+                q = _with_rules(p, rules[:idx] + rules[idx + 1 :])
+                u, _ = normalize(rule.lhs, q)
+                del rules[idx]
+                trace.append(CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs))
+                v, _ = normalize(rule.rhs, q)
+                if u != v:
+                    add_rule(u, v, None)
+                changed = True
+                break
+            if changed:
+                continue
+            for idx, rule in enumerate(rules):
+                rhs, _ = normalize(rule.rhs, current)
+                if rhs != rule.rhs:
+                    rules[idx] = Rule(rule.rule_id, rule.lhs, rhs)
+                    trace.append(CompletionEvent("simplify", rule.rule_id, rule.lhs, rhs))
+                    changed = True
+                    break
+
+    simplify()
+    while True:
+        current = _with_rules(p, rules)
+        pending = None
+        for b in critical_branchings_oracle(current):
+            left = RewriteStep(b.overlap, b.rule1, 0, 1).target
+            right = RewriteStep(b.overlap, b.rule2, b.offset, 1).target
+            nf_left, _ = normalize(left, current)
+            nf_right, _ = normalize(right, current)
+            if nf_left != nf_right:
+                pending = (nf_left, nf_right, b.overlap)
+                break
+        if pending is None:
+            return current, tuple(trace)
+        add_rule(pending[0], pending[1], pending[2])
+        simplify()
+
+
+def conjugator_oracle(p: Presentation, loop_base: Word, base: Word) -> Path:
+    """A certificate entry's conjugator from the loop's base to ``base``:
+    the normal path of the loop's base composed with the inverse normal
+    path of ``base``, free-reduced, as ``decompose_loop`` built it before
+    it replayed each conjugator once."""
+    return free_reduce(compose(normal_path(p, loop_base), invert(normal_path(p, base))))
 
 
 def reachable_normal_forms(p: Presentation, start: Word) -> set[Word]:

@@ -27,7 +27,9 @@ from srs import (
 from srs.abelian import DecompositionCertificate
 from srs.errors import DisjointnessError
 from helpers import (
+    alt_normal_path,
     as_presentation,
+    conjugator_oracle,
     four_rule_presentation,
     random_loop,
     random_mixed_path,
@@ -350,3 +352,34 @@ def test_certificate_entries_sum_to_element():
         assert summary == cert.pi
         for entry in cert.entries:
             assert entry.conjugator.base == loop.base
+
+
+def _check_conjugators(loop, p):
+    """Each entry's conjugator ends where its whiskered basis loop is closed
+    and equals the free-reduced composite the oracle builds."""
+    by_id = {bl.basis_id: bl for bl in basis_loops(p)}
+    entries = decompose_loop(loop, p).entries
+    for entry in entries:
+        base = entry.left + by_id[entry.basis_id].loop.base + entry.right
+        assert entry.conjugator.target == base
+        assert entry.conjugator == conjugator_oracle(p, loop.base, base)
+    return len(entries)
+
+
+def test_conjugators_match_the_oracle():
+    rng = random.Random(97)
+    sorting = parse_presentation(
+        "generators: a b c\norder: shortlex a < b < c\nrules:\n"
+        " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n"
+    )
+    for p in (as_presentation(), four_rule_presentation(), sorting):
+        basis = tuple(bl.loop for bl in basis_loops(p))
+        for _ in range(30):
+            loop = random_loop(rng, p, basis)
+            _check_conjugators(loop, p)
+            out = random_mixed_path(rng, p, loop.base, 4)
+            _check_conjugators(conjugate(loop, invert(out)), p)
+    for text in ("cbacbacba", "cbcbaacb"):
+        word = w(text)
+        zigzag = compose(normal_path(sorting, word), invert(alt_normal_path(sorting, word)))
+        assert _check_conjugators(zigzag, sorting) > 0

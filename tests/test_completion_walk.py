@@ -1,0 +1,167 @@
+"""Completion walks the critical branchings in order and stops at the first
+unjoinable one: the lazy walk lists what the sort-based enumeration listed,
+completion keeps the rules and traces of the loop that re-listed every
+branching after each added rule, and joinable branchings are still checked
+again after every added rule."""
+
+import itertools
+import random
+from pathlib import Path as FilePath
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from srs import (
+    LESS,
+    FuelError,
+    OrderSpec,
+    Presentation,
+    RewriteStep,
+    Rule,
+    UnorientableError,
+    compare_words,
+    critical_branchings,
+    knuth_bendix,
+    normalize,
+    parse_presentation,
+)
+from srs.critical import CONTAINMENT, PROPER
+from helpers import (
+    critical_branchings_oracle,
+    knuth_bendix_oracle,
+    random_terminating_presentation,
+    two_rule_presentation,
+    w,
+)
+
+INPUTS = FilePath(__file__).resolve().parent.parent / "srsbench" / "inputs"
+
+PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def rule_systems(draw):
+    """Rules over a 1-3 letter alphabet with no orientation: short left-hand
+    sides over few letters give self-overlaps and containments, and some
+    left-hand sides are repeated under another rule id."""
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    word = st.lists(st.sampled_from(alphabet), max_size=4).map(tuple)
+    lhss = draw(st.lists(word.filter(bool), min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(lhss), max_size=2))
+    rules = []
+    for k, lhs in enumerate(lhss + repeats):
+        rhs = draw(word.filter(lambda v, lhs=lhs: v != lhs))
+        rules.append(Rule(f"r{k + 1}", lhs, rhs))
+    order = OrderSpec("shortlex", tuple(alphabet))
+    return Presentation(tuple(alphabet), tuple(rules), order)
+
+
+@PROPERTY
+@given(rule_systems())
+def test_walk_lists_the_sorted_enumeration(p):
+    assert critical_branchings(p) == critical_branchings_oracle(p)
+
+
+@pytest.mark.parametrize(
+    "rules, listed",
+    [
+        # a rule on itself at offsets 1 and 2
+        (" r1: a a a -> a", [("r1", "r1", 1, PROPER), ("r1", "r1", 2, PROPER)]),
+        # the same lhs under two ids meet at offset 0 in both orders: listed
+        # once, at its first place
+        (" r1: a b -> a\n r2: a b -> b", [("r1", "r2", 0, CONTAINMENT)]),
+        # a self-overlap, then a lhs inside another at each place it occurs
+        (
+            " r1: a b a b -> a\n r2: a b -> b",
+            [
+                ("r1", "r1", 2, PROPER),
+                ("r1", "r2", 0, CONTAINMENT),
+                ("r1", "r2", 2, CONTAINMENT),
+            ],
+        ),
+    ],
+)
+def test_named_overlap_cases(rules, listed):
+    p = parse_presentation(f"generators: a b\norder: shortlex a < b\nrules:\n{rules}\n")
+    found = critical_branchings(p)
+    assert found == critical_branchings_oracle(p)
+    assert [(b.rule1.rule_id, b.rule2.rule_id, b.offset, b.kind) for b in found] == listed
+
+
+def outcome(complete, p, fuel):
+    """The completed presentation and trace, or the error's type and text."""
+    try:
+        return complete(p, fuel)
+    except (FuelError, UnorientableError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10**6))
+def test_completion_matches_oracle_on_random_systems(seed):
+    p = random_terminating_presentation(random.Random(seed))
+    assert outcome(knuth_bendix, p, 64) == outcome(knuth_bendix_oracle, p, 64)
+
+
+def precedences(p):
+    """``p`` under shortlex with every generator precedence, each rule
+    oriented from its larger side."""
+    for precedence in itertools.permutations(p.generators):
+        order = OrderSpec("shortlex", precedence)
+        rules = tuple(
+            Rule(r.rule_id, r.rhs, r.lhs) if compare_words(order, r.lhs, r.rhs) is LESS else r
+            for r in p.rules
+        )
+        yield Presentation(p.generators, rules, order)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in (INPUTS / "coxeter").glob("*.pres"))
+)
+def test_completion_matches_oracle_on_coxeter_groups(name):
+    p = parse_presentation((INPUTS / "coxeter" / f"{name}.pres").read_text(encoding="utf-8"))
+    for q in precedences(p):
+        assert knuth_bendix(q) == knuth_bendix_oracle(q)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        parse_presentation((INPUTS / "a5.pres").read_text(encoding="utf-8")),
+        two_rule_presentation(),
+    ],
+    ids=["a5", "two-rule"],
+)
+def test_completion_matches_oracle_on_named_systems(p):
+    assert knuth_bendix(p) == knuth_bendix_oracle(p)
+
+
+def test_joinable_branching_becomes_unjoinable_after_an_added_rule():
+    """The r1/r1 branching at a b a b a is joinable before completion adds
+    its first rule and unjoinable after, and completion adds its second
+    rule from it: a walk that skipped branchings once found joinable would
+    miss that rule."""
+    text = "generators: a b\norder: shortlex a < b\nrules:\n r1: a b a -> b a\n r2: b b -> b a\n"
+    before = parse_presentation(text)
+    after = parse_presentation(text + " kb1: b a b -> b a a\n")
+    r1 = before.rule_by_id["r1"]
+    (flip,) = [
+        b for b in critical_branchings(before)
+        if b.rule1 == b.rule2 == r1 and b.offset == 2
+    ]
+    assert flip.overlap == w("ababa")
+    left = RewriteStep(flip.overlap, flip.rule1, 0, 1).target
+    right = RewriteStep(flip.overlap, flip.rule2, flip.offset, 1).target
+
+    def normal_forms(q):
+        return normalize(left, q)[0], normalize(right, q)[0]
+
+    assert normal_forms(before) == (w("baa"), w("baa"))
+    assert normal_forms(after) == (w("baaa"), w("baa"))
+
+    _, trace = knuth_bendix(before)
+    assert [(e.kind, e.rule_id, e.lhs, e.rhs, e.overlap) for e in trace[:2]] == [
+        ("add", "kb1", w("bab"), w("baa"), w("bbb")),
+        ("add", "kb2", w("baaa"), w("baa"), w("ababa")),
+    ]

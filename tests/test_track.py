@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from srs import (
     BoundaryError,
@@ -14,9 +16,17 @@ from srs import (
     free_reduce,
     invert,
     parse_path,
+    parse_presentation,
     whisker,
 )
-from helpers import as_presentation, four_rule_presentation, random_mixed_path, random_word, w
+from helpers import (
+    as_presentation,
+    four_rule_presentation,
+    random_mixed_path,
+    random_terminating_presentation,
+    random_word,
+    w,
+)
 
 
 def _step(p, word, rule_id, pos, sign=1):
@@ -155,6 +165,33 @@ def test_exchange_swap_random_pairs_keep_endpoints():
             assert swapped.target == path.target
             assert exchange_swap(swapped, i) == path
     assert swaps > 50
+
+
+
+def test_exchange_swap_is_not_an_involution_across_an_empty_factor():
+    # two paths swap to one middle path, so no swap can undo both
+    p = parse_presentation("generators: a b\norder: shortlex a < b\nrules:\n r2: a ->\n")
+    first = parse_path("ba: -r2@2 +r2@1", p)
+    other = parse_path("ba: -r2@1 +r2@2", p)
+    middle = parse_path("ba: +r2@1 -r2@1", p)
+    assert exchange_swap(first, 0) == middle
+    assert exchange_swap(other, 0) == middle
+    assert exchange_swap(middle, 0) == other
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10**6))
+def test_exchange_swap_twice_restores_without_empty_sides(seed):
+    rng = random.Random(seed)
+    p = random_terminating_presentation(rng)
+    assume(all(rule.rhs for rule in p.rules))
+    path = random_mixed_path(rng, p, random_word(rng, p, 6), 8)
+    for i in range(len(path) - 1):
+        try:
+            swapped = exchange_swap(path, i)
+        except DisjointnessError:
+            continue
+        assert exchange_swap(swapped, i) == path
 
 
 def test_conjugate():
