@@ -188,7 +188,8 @@ def _e_class(
     scan for b begins there.  Each recursive call passes one: its source
     keeps the prefix of this source before ``b_pos``, which holds no redex,
     so a redex starting at ``q < b_pos`` must reach past a rewritten letter
-    and starts at most ``maxlhs - 1`` positions left of it.  That gives
+    and starts at most ``maxlhs - 1`` positions left of it, where ``maxlhs``
+    is ``p.index_automaton.depth``.  That gives
     ``b_pos - maxlhs + 1`` after the step b or inside a whiskered completion
     (rewritten from ``b_pos`` on), and ``min(b_pos, pos - maxlhs + 1)``
     after the given step (rewritten from ``pos`` on, prefix up to ``pos``
@@ -210,7 +211,7 @@ def _e_class(
         return result
 
     m_b, m_s = len(b_rule.lhs), len(rule.lhs)
-    window = p.lhs_trie.depth - 1
+    window = p.index_automaton.depth - 1
     if b_pos + m_b <= pos:
         # disjoint: compare via the two residual steps across the square
         target_b = RewriteStep(source, b_rule, b_pos, 1).target

@@ -22,7 +22,9 @@ from .presentation import (
     Word,
     compare_words,
 )
-from .rewrite import RewriteStep, check_termination, find_redexes, normalize
+# ``normalize`` stays bound here, unused, for code that reads
+# ``srs.completion.normalize``; completion itself builds no paths
+from .rewrite import RewriteStep, _reduce, check_termination, find_redexes, normalize  # noqa: F401
 from .critical import _branchings_in_order, words_up_to
 
 DEFAULT_RULE_FUEL = 256
@@ -103,7 +105,8 @@ def knuth_bendix(
         rules.append(rule)
         trace.append(CompletionEvent("add", rule.rule_id, lhs, rhs, overlap))
 
-    def simplify():
+    def simplify() -> Presentation:
+        """Inter-reduce ``rules``; returns their presentation."""
         changed = True
         while changed:
             changed = False
@@ -115,12 +118,12 @@ def knuth_bendix(
                 if all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, current)):
                     continue
                 q = _with_rules(p, rules[:idx] + rules[idx + 1 :])
-                u, _ = normalize(rule.lhs, q)
+                u = _reduce(rule.lhs, q)[0]
                 del rules[idx]
                 trace.append(
                     CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs)
                 )
-                v, _ = normalize(rule.rhs, q)
+                v = _reduce(rule.rhs, q)[0]
                 if u != v:
                     add_rule(u, v, None)
                 changed = True
@@ -129,7 +132,7 @@ def knuth_bendix(
                 continue
             # normalize right-hand sides against the full set
             for idx, rule in enumerate(rules):
-                rhs, _ = normalize(rule.rhs, current)
+                rhs = _reduce(rule.rhs, current)[0]
                 if rhs != rule.rhs:
                     rules[idx] = Rule(rule.rule_id, rule.lhs, rhs)
                     trace.append(
@@ -137,24 +140,24 @@ def knuth_bendix(
                     )
                     changed = True
                     break
+        return current
 
     overlaps: dict = {}
-    simplify()
+    current = simplify()
     while True:
-        current = _with_rules(p, rules)
         pending = None
         for b in _branchings_in_order(current, overlaps):
             left = RewriteStep(b.overlap, b.rule1, 0, 1).target
             right = RewriteStep(b.overlap, b.rule2, b.offset, 1).target
-            nf_left, _ = normalize(left, current)
-            nf_right, _ = normalize(right, current)
+            nf_left = _reduce(left, current)[0]
+            nf_right = _reduce(right, current)[0]
             if nf_left != nf_right:
                 pending = (nf_left, nf_right, b.overlap)
                 break
         if pending is None:
             return current, tuple(trace)
         add_rule(pending[0], pending[1], pending[2])
-        simplify()
+        current = simplify()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ The line-oriented file format (``#`` starts a comment)::
     rules:
      <id>: <name> <name> ... -> <name> ...
 
-An empty right-hand side denotes the unit.  ``parse_presentation`` and
-``print_presentation`` round-trip exactly on valid presentations.
+An empty right-hand side denotes the unit.  An indented line in the rules
+section is always a rule, so a rule id may be a section name.
+``parse_presentation`` and ``print_presentation`` round-trip exactly on
+valid presentations.
 """
 
 from __future__ import annotations
@@ -87,19 +89,36 @@ class Rule:
 
 
 @dataclass(frozen=True, eq=False)
-class LhsTrie:
-    """Trie of a presentation's left-hand sides: the index that every redex
-    scan walks.
+class IndexAutomaton:
+    """Sims' index automaton of a presentation's left-hand sides: the one
+    matcher that every redex scan reads.
 
-    Node 0 is the root.  ``edges[n]`` maps a generator to the child of node
-    ``n``.  ``ends[n]`` lists, in ascending order, the indices of the rules
-    whose left-hand side spells the path from the root to ``n`` (more than
-    one when left-hand sides repeat), so ``ends[n][0]`` is the lowest.
-    ``depth`` is the length of the longest left-hand side.
+    The states are the prefixes of the left-hand sides, numbered as the
+    trie of left-hand sides creates them; state 0 is the empty prefix.
+    ``delta[s][g]`` is the state of the longest suffix of ``s g`` that is a
+    prefix of some left-hand side: the trie edge where there is one, else
+    the transition of the failure state (Aho and Corasick), so every row is
+    complete over the alphabet and a scan reads each letter once.  After
+    reading a word from state 0 the state is the word's longest suffix that
+    is a prefix of a left-hand side, so every left-hand side that is a
+    suffix of the word is a suffix of the state.  A letter outside the
+    alphabet leads to state 0.
+
+    ``longest[s]`` is the length of the longest left-hand side that is a
+    suffix of ``s`` (0 when none is), and ``lowest[s]`` the lowest index
+    among the rules with that left-hand side.  ``ends[s]`` lists, in
+    ascending order, the indices of the rules whose left-hand side is ``s``
+    itself (more than one when left-hand sides repeat).  ``out[s]`` is the
+    next state below ``s`` on its failure chain whose ``ends`` is not empty,
+    or 0, so following it lists every left-hand side that is a suffix of
+    ``s``.  ``depth`` is the length of the longest left-hand side.
     """
 
-    edges: tuple[dict[str, int], ...]
+    delta: tuple[dict[str, int], ...]
+    longest: tuple[int, ...]
+    lowest: tuple[int, ...]
     ends: tuple[tuple[int, ...], ...]
+    out: tuple[int, ...]
     depth: int
 
 
@@ -145,23 +164,46 @@ class Presentation:
         return {rule.rule_id: i for i, rule in enumerate(self.rules)}
 
     @cached_property
-    def lhs_trie(self) -> LhsTrie:
-        edges: list[dict[str, int]] = [{}]
+    def index_automaton(self) -> IndexAutomaton:
+        goto: list[dict[str, int]] = [{}]
         ends: list[list[int]] = [[]]
         for index, rule in enumerate(self.rules):
             node = 0
             for g in rule.lhs:
-                child = edges[node].get(g)
+                child = goto[node].get(g)
                 if child is None:
-                    child = edges[node][g] = len(edges)
-                    edges.append({})
+                    child = goto[node][g] = len(goto)
+                    goto.append({})
                     ends.append([])
                 node = child
             ends[node].append(index)
-        return LhsTrie(
-            tuple(edges),
+        # one breadth-first pass: a state's failure state is shorter, so its
+        # row, longest match and output link are known when the state is
+        # read; the root's failure state is itself, read with the row that
+        # sends every letter back to it
+        size = len(goto)
+        delta = [dict.fromkeys(self.generators, 0)] * size
+        longest, lowest, out, fail, length = ([0] * size for _ in range(5))
+        order = [0]
+        for node in order:
+            f = fail[node]
+            delta[node] = {**delta[f], **goto[node]}
+            out[node] = f if ends[f] else out[f]
+            if ends[node]:
+                longest[node], lowest[node] = length[node], ends[node][0]
+            else:
+                longest[node], lowest[node] = longest[f], lowest[f]
+            for g, child in goto[node].items():
+                fail[child] = delta[f][g] if node else 0
+                length[child] = length[node] + 1
+                order.append(child)
+        return IndexAutomaton(
+            tuple(delta),
+            tuple(longest),
+            tuple(lowest),
             tuple(map(tuple, ends)),
-            max((len(rule.lhs) for rule in self.rules), default=0),
+            tuple(out),
+            max(length),
         )
 
     @cached_property
@@ -286,7 +328,10 @@ def parse_presentation(text: str) -> Presentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("generators:"):
+        if in_rules and raw[0].isspace():
+            # indented, as printed: a rule even when its id names a section
+            rule_lines.append((lineno, line))
+        elif line.startswith("generators:"):
             if generators is not None:
                 raise ParseError("duplicate generators section", lineno)
             generators = line[len("generators:"):].split()

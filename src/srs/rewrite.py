@@ -5,13 +5,15 @@ position first, then lowest rule index.  Fixing the strategy makes every
 downstream certificate (confluence bases, decompositions, transported
 generators) reproducible.
 
-Every redex scan walks one index: the trie of all left-hand sides that
-``Presentation.lhs_trie`` builds once per presentation.  The walk from a
-position follows the word letter by letter and collects the rules whose
-left-hand sides end at the nodes it passes, so it stops after at most as
-many letters as the longest left-hand side.  No failure links are needed:
-``normalize`` restarts its scan near the last step instead of at the start
-of the word (see there), which bounds the positions it rescans.
+Every redex scan reads one index: the index automaton of all left-hand
+sides that ``Presentation.index_automaton`` builds once per presentation,
+the trie of left-hand sides completed with failure transitions.  A scan
+reads each letter once, from state 0 or from a state stored at an earlier
+position, and the state after a letter names the left-hand sides that end
+there.  Because the strategy picks the leftmost *start* while the
+automaton reports matches by their *end*, a scan that has found a redex
+reads on at most as far as the longest left-hand side reaches from its
+start before it commits (see ``normalize``).
 
 A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
 triples: every word along it follows from those, so a stored path holds
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 from .errors import FuelError, MatchError, NotConvergentError
 from .presentation import (
-    LhsTrie,
+    IndexAutomaton,
     OrderSpec,
     Presentation,
     Rule,
@@ -205,18 +207,42 @@ class Path:
         return f"Path(base={self.base!r}, steps={self.steps!r})"
 
 
-def _rules_at(w: Sequence[str], pos: int, trie: LhsTrie) -> list[int]:
-    """Indices of the rules whose left-hand side occurs in ``w`` at ``pos``,
-    in the order the trie walk meets them."""
-    edges, ends = trie.edges, trie.ends
-    node = 0
-    found: list[int] = []
-    for i in range(pos, len(w)):
-        node = edges[node].get(w[i])
-        if node is None:
-            break
-        found += ends[node]
-    return found
+def _scan(
+    word: Sequence[str], index: IndexAutomaton, states: list[int], base: int
+) -> tuple[int, int] | None:
+    """The leftmost redex of ``word`` at or after ``base`` that ends after
+    the letters read so far, as ``(position, rule index)``, lowest rule
+    index first; None when none does.
+
+    ``states[i]`` is the automaton's state after ``word[base:base + i]``;
+    the scan reads on from the last of them and appends the state after each
+    letter it reads.  At each end it takes the redex starting earliest there
+    (the longest left-hand side, its lowest rule); once a redex starts at
+    ``s`` it reads on only up to ``s + depth``, since no redex starting at
+    or before ``s`` ends later.
+    """
+    delta, longest, lowest = index.delta, index.longest, index.lowest
+    depth = index.depth
+    state = states[-1]
+    end = base + len(states) - 1
+    limit = best_pos = len(word)
+    best_rule = -1
+    while end < limit:
+        try:
+            state = delta[state][word[end]]
+        except KeyError:  # a letter outside the alphabet
+            state = 0
+        end += 1
+        states.append(state)
+        n = longest[state]
+        if n and end - n <= best_pos:
+            if end - n < best_pos:
+                best_pos, best_rule = end - n, lowest[state]
+                if best_pos + depth < limit:
+                    limit = best_pos + depth
+            elif lowest[state] < best_rule:
+                best_rule = lowest[state]
+    return None if best_rule < 0 else (best_pos, best_rule)
 
 
 def first_redex(w: Sequence[str], p: Presentation, start: int = 0) -> Redex | None:
@@ -224,25 +250,49 @@ def first_redex(w: Sequence[str], p: Presentation, start: int = 0) -> Redex | No
     rule index first; None when no left-hand side occurs there."""
     if start < 0:
         raise ValueError(f"negative start {start}")
-    trie = p.lhs_trie
-    for pos in range(start, len(w)):
-        found = _rules_at(w, pos, trie)
-        if found:
-            return Redex(p.rules[min(found)], pos)
-    return None
+    found = _scan(w, p.index_automaton, [0], start)
+    return None if found is None else Redex(p.rules[found[1]], found[0])
 
 
 def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
     """All rule occurrences in ``w``, sorted by position then rule index.
 
-    Empty exactly when ``w`` is a normal form.
+    Empty exactly when ``w`` is a normal form.  Each end's occurrences are
+    read off the automaton's state there and its output links.
     """
-    trie = p.lhs_trie
-    return tuple(
-        Redex(p.rules[index], pos)
-        for pos in range(len(w))
-        for index in sorted(_rules_at(w, pos, trie))
-    )
+    index = p.index_automaton
+    delta, longest, ends, out = index.delta, index.longest, index.ends, index.out
+    found: list[tuple[int, int]] = []
+    state = 0
+    for end, letter in enumerate(w, 1):
+        state = delta[state].get(letter, 0)
+        node = state if ends[state] else out[state]
+        while node:
+            found.extend((end - longest[node], rule) for rule in ends[node])
+            node = out[node]
+    found.sort()
+    return tuple(Redex(p.rules[rule], pos) for pos, rule in found)
+
+
+def _reduce(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, list[Move]]:
+    """The normal form of ``w`` under the leftmost-lowest strategy and the
+    moves that reach it; ``normalize`` without building the path."""
+    index, rules = p.index_automaton, p.rules
+    word = list(w)
+    states = [0]
+    moves: list[Move] = []
+    remaining = fuel
+    while (found := _scan(word, index, states, 0)) is not None:
+        if remaining <= 0:
+            raise FuelError(
+                f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}"
+            )
+        remaining -= 1
+        pos, rule = found[0], rules[found[1]]
+        word[pos : pos + len(rule.lhs)] = rule.rhs
+        moves.append((rule, pos, 1))
+        del states[pos + 1 :]
+    return tuple(word), moves
 
 
 def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, Path]:
@@ -252,39 +302,21 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
     bounds the number of steps; exceeding it raises FuelError rather than
     truncating silently (relevant only when termination was not certified).
 
-    After a step at ``pos`` the scan restarts at ``pos - d + 1`` (not below
-    0), where ``d`` is the length of the longest left-hand side, instead of
-    at 0.  This finds the same redex as a scan of the whole word: before the
-    step no redex started left of ``pos``, and the step left the prefix
-    before ``pos`` unchanged, so a redex starting at ``q`` must reach into
-    the rewritten factor, ``q + d > pos``.  The steps, the point where fuel
-    runs out and the path are therefore those of a full rescan, while the
-    scanning cost grows with the number of steps rather than with steps times word
-    length times rules.
+    The scan keeps a stack of the automaton's states, ``states[i]`` after
+    ``word[:i]``.  After a step at ``pos`` it drops the states past ``pos``
+    and reads on from the one stored there: before the step no redex started
+    left of ``pos``, and the step kept the prefix before ``pos``, so no redex
+    ends at or before ``pos`` and the stored state is still right.  At each
+    later end the state gives the longest left-hand side ending there, which
+    starts earliest, and its lowest rule.  A redex found to start at ``s``
+    rules out only the ends past ``s + depth`` (``depth`` is the length of
+    the longest left-hand side), so the scan reads that far before it
+    commits; this keeps the leftmost start and then the lowest rule exact
+    when one left-hand side contains or extends another.  The steps, the
+    point where fuel runs out and the path are therefore those of a full
+    rescan, while a step costs a scan from ``pos`` on, not of the whole word.
     """
-    trie = p.lhs_trie
-    window = trie.depth - 1
-    word = list(w)
-    moves: list[Move] = []
-    remaining = fuel
-    start = 0
-    while True:
-        # the scan of first_redex, without building a Redex per step
-        for pos in range(start, len(word)):
-            found = _rules_at(word, pos, trie)
-            if found:
-                break
-        else:
-            break
-        if remaining <= 0:
-            raise FuelError(
-                f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}"
-            )
-        remaining -= 1
-        move = (p.rules[min(found)], pos, 1)
-        _rewrite(word, *move)
-        moves.append(move)
-        start = max(0, pos - window)
+    moves = _reduce(w, p, fuel)[1]
     path = Path.from_moves(w, moves)
     return path.target, path
 
