@@ -93,25 +93,20 @@ class IndexAutomaton:
     """Sims' index automaton of a presentation's left-hand sides: the one
     matcher that every redex scan reads.
 
-    The states are the prefixes of the left-hand sides, numbered as the
-    trie of left-hand sides creates them; state 0 is the empty prefix.
-    ``delta[s][g]`` is the state of the longest suffix of ``s g`` that is a
-    prefix of some left-hand side: the trie edge where there is one, else
-    the transition of the failure state (Aho and Corasick), so every row is
-    complete over the alphabet and a scan reads each letter once.  After
-    reading a word from state 0 the state is the word's longest suffix that
-    is a prefix of a left-hand side, so every left-hand side that is a
-    suffix of the word is a suffix of the state.  A letter outside the
-    alphabet leads to state 0.
+    A state is a prefix of a left-hand side (state 0 the empty one), numbered
+    as the trie of left-hand sides creates them.  ``delta[s][g]`` is the
+    longest suffix of ``s g`` that is a state: the trie edge where there is
+    one, else the failure state's transition (Aho and Corasick), so each row
+    covers the alphabet and a scan reads each letter once.  After a word read
+    from state 0, every left-hand side that is a suffix of the word is a
+    suffix of the state.  A letter outside the alphabet leads to state 0.
 
     ``longest[s]`` is the length of the longest left-hand side that is a
-    suffix of ``s`` (0 when none is), and ``lowest[s]`` the lowest index
-    among the rules with that left-hand side.  ``ends[s]`` lists, in
-    ascending order, the indices of the rules whose left-hand side is ``s``
-    itself (more than one when left-hand sides repeat).  ``out[s]`` is the
+    suffix of ``s`` (0 if none) and ``lowest[s]`` the lowest index among its
+    rules.  ``ends[s]`` lists, ascending, the rules whose left-hand side is
+    ``s`` itself (several when left-hand sides repeat); ``out[s]`` is the
     next state below ``s`` on its failure chain whose ``ends`` is not empty,
-    or 0, so following it lists every left-hand side that is a suffix of
-    ``s``.  ``depth`` is the length of the longest left-hand side.
+    or 0.  ``depth`` is the length of the longest left-hand side.
     """
 
     delta: tuple[dict[str, int], ...]
