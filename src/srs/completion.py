@@ -22,8 +22,8 @@ from .presentation import (
     Word,
     compare_words,
 )
-# ``normalize`` stays bound here, unused, for code that reads
-# ``srs.completion.normalize``; completion itself builds no paths
+# ``srs.completion.normalize`` stays importable as before; completion itself
+# reduces with ``_reduce``, which builds no path
 from .rewrite import RewriteStep, _reduce, check_termination, find_redexes, normalize  # noqa: F401
 from .critical import _branchings_in_order, words_up_to
 
