@@ -28,6 +28,7 @@ from functools import lru_cache
 from .errors import FuelError, NotConvergentError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
+    DEFAULT_FUEL,
     Path,
     RewriteStep,
     first_redex,
@@ -45,9 +46,6 @@ from .critical import (
 Footprint = dict[tuple[Word, str, Word], int]
 # basis representation: ((left class, right class), basis id) -> nonzero integer
 PiElement = dict[tuple[tuple[Word, Word], str], int]
-
-_MAX_DEPTH = 600  # peak-elimination depth limit, below the interpreter's own
-
 
 def _bump(acc: dict, key, value: int):
     total = acc.get(key, 0) + value
@@ -166,131 +164,145 @@ def _negate_entries(entries: tuple[_RawEntry, ...]) -> tuple[_RawEntry, ...]:
     )
 
 
-def _e_class(
-    source: Word,
-    rule: Rule,
-    pos: int,
+def _peak_entries(
+    steps: list[tuple[Word, Rule, int]],
     p: Presentation,
     index: _BasisIndex,
-    memo: dict,
-    depth: int,
-    start: int = 0,
-) -> tuple[PiElement, tuple[_RawEntry, ...]]:
-    """Class of the loop comparing the step (source, rule, pos, +) against
-    the canonical normalization of its source, by Noetherian recursion.
+    fuel: int,
+) -> list[tuple[_RawEntry, ...]]:
+    """For each positive step ``(source, rule, pos)``, the entries of the
+    loop comparing it against the canonical normalization of its source,
+    by peak elimination on one explicit stack.
 
-    Case split on the canonical first step b of the source: the given step
-    equals b (class zero), is disjoint from b (difference of the two
-    residuals' classes), or overlaps b in a critical branching (one signed
-    basis term plus the classes of the whiskered completions' steps).
+    A frame is a positive step.  Its first visit finds the canonical first
+    step b of its source, and then one of three cases holds: the step equals
+    b (no entries), is disjoint from b (children: the two residual steps
+    across the square, entries ``A + neg(B)``), or overlaps b in a critical
+    branching (the signed basis entry, and children: the whiskered steps of
+    the two completions, entries ``(basis entry,) + C1...Cn +
+    neg(Dm)...neg(D1)``).  Its second visit, after its children's, joins
+    their entries in that order, so the entries are those of the recursion
+    that visits the children in order.  Every child's source is a proper
+    reduct of its parent's, so no frame waits on itself.  One memo, keyed by
+    ``(source, rule id, pos)``, serves every step.  ``fuel`` bounds the
+    frames expanded; running out raises FuelError.
 
-    ``start`` is a position no redex of ``source`` starts before, so the
-    scan for b begins there.  Each recursive call passes one: its source
-    keeps the prefix of this source before ``b_pos``, which holds no redex,
-    so a redex starting at ``q < b_pos`` must reach past a rewritten letter
-    and starts at most ``maxlhs - 1`` positions left of it, where ``maxlhs``
-    is ``p.index_automaton.depth``.  That gives
-    ``b_pos - maxlhs + 1`` after the step b or inside a whiskered completion
-    (rewritten from ``b_pos`` on), and ``min(b_pos, pos - maxlhs + 1)``
-    after the given step (rewritten from ``pos`` on, prefix up to ``pos``
-    kept), each at least 0.  The hint changes no result, so the memo key
-    leaves it out.
+    In the disjoint case b's residual B is the first step of its source,
+    and so has no entries, whenever b starts ``maxlhs`` or more positions
+    left of the step: that frame is not visited.
+
+    Each child carries a position no redex of its source starts before, so
+    the scan for its b begins there.  A child's source keeps the prefix of
+    its parent's source before ``b_pos``, which holds no redex, so a redex
+    starting at ``q < b_pos`` must reach past a rewritten letter and starts
+    at most ``maxlhs - 1`` positions left of it, where ``maxlhs`` is
+    ``p.index_automaton.depth``.  That gives ``b_pos - maxlhs + 1`` after
+    the step b or inside a whiskered completion (rewritten from ``b_pos``
+    on), and ``min(b_pos, pos - maxlhs + 1)`` after the frame's own step
+    (rewritten from ``pos`` on, prefix up to ``pos`` kept), each at least 0.
+    The hint changes no result, so the memo key leaves it out.
     """
-    key = (source, rule.rule_id, pos)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if depth > _MAX_DEPTH:
-        raise FuelError(f"peak elimination exceeded its depth limit of {_MAX_DEPTH}")
-
-    first = first_redex(source, p, start)
-    b_rule, b_pos = first.rule, first.pos
-    if (b_rule.rule_id, b_pos) == (rule.rule_id, pos):
-        result: tuple[PiElement, tuple[_RawEntry, ...]] = ({}, ())
-        memo[key] = result
-        return result
-
-    m_b, m_s = len(b_rule.lhs), len(rule.lhs)
     window = p.index_automaton.depth - 1
-    if b_pos + m_b <= pos:
-        # disjoint: compare via the two residual steps across the square
-        target_b = RewriteStep(source, b_rule, b_pos, 1).target
-        target_s = RewriteStep(source, rule, pos, 1).target
-        shift = len(b_rule.rhs) - m_b
-        pi_s, entries_s = _e_class(
-            target_b, rule, pos + shift, p, index, memo, depth + 1, max(0, b_pos - window)
-        )
-        pi_b, entries_b = _e_class(
-            target_s, b_rule, b_pos, p, index, memo, depth + 1,
-            min(b_pos, max(0, pos - window)),
-        )
-        pi: PiElement = dict(pi_s)
-        _accumulate(pi, pi_b, -1)
-        result = (pi, entries_s + _negate_entries(entries_b))
-        memo[key] = result
-        return result
-
-    # overlapping: the minimal overlap is a critical branching
-    ov_end = max(b_pos + m_b, pos + m_s)
-    overlap = source[b_pos:ov_end]
-    left_ctx, right_ctx = source[:b_pos], source[ov_end:]
-    lookup = branching_key(overlap, (b_rule.rule_id, 0), (rule.rule_id, pos - b_pos))
-    basis_loop = index.by_key.get(lookup)
-    if basis_loop is None:  # pragma: no cover - would be an enumeration bug
-        raise RuntimeError(f"no critical branching indexed for overlap {overlap}")
-    conf = basis_loop.confluence
-    branching = conf.branching
-    c1 = (branching.rule1.rule_id, 0)
-    local_b = (b_rule.rule_id, 0)
-    local_s = (rule.rule_id, pos - b_pos)
-
-    completion_b, completion_s = conf.completion1, conf.completion2
-    if local_b == c1 and local_s == (branching.rule2.rule_id, branching.offset):
-        beta_sign = -1
-    elif local_s == c1 and local_b == (branching.rule2.rule_id, branching.offset):
-        beta_sign = 1
-        completion_b, completion_s = conf.completion2, conf.completion1
-    else:  # pragma: no cover - inconsistent index
-        raise RuntimeError("branching lookup does not match the step pair")
-
-    pi = {}
-    ctx_class = (normal_form(p, left_ctx), normal_form(p, right_ctx))
-    _bump(pi, (ctx_class, basis_loop.basis_id), beta_sign)
-    entries: list[_RawEntry] = [
-        (beta_sign, left_ctx, right_ctx, source, basis_loop.basis_id)
+    memo: dict[tuple[Word, str, int], tuple[_RawEntry, ...]] = {}
+    expanded = 0
+    # a frame is (memo key, rule, start hint, join); join is None on the
+    # first visit and (head entries, child keys, positive children) after it
+    stack: list = [
+        ((source, rule.rule_id, pos), rule, 0, None) for source, rule, pos in reversed(steps)
     ]
-    hint = max(0, b_pos - window)
-    for path, sign in ((completion_b, 1), (completion_s, -1)):
-        collected: list[tuple[PiElement, tuple[_RawEntry, ...]]] = []
-        for step_source, step_rule, step_pos, _ in path.walk():
-            collected.append(
-                _e_class(
-                    left_ctx + step_source + right_ctx, step_rule, b_pos + step_pos,
-                    p, index, memo, depth + 1, hint,
-                )
-            )
-        if sign > 0:
-            for sub_pi, sub_entries in collected:
-                _accumulate(pi, sub_pi, 1)
-                entries.extend(sub_entries)
+    while stack:
+        key, rule, start, join = stack.pop()
+        if join is not None:
+            head, kids, split = join
+            entries = list(head)
+            for kid in kids[:split]:
+                entries.extend(memo[kid])
+            for kid in reversed(kids[split:]):
+                entries.extend(_negate_entries(memo[kid]))
+            memo[key] = tuple(entries)
+            continue
+        if key in memo:
+            continue
+        expanded += 1
+        if expanded > fuel:
+            raise FuelError(f"peak elimination did not finish within {fuel} frames")
+
+        source, rule_id, pos = key
+        first = first_redex(source, p, start)
+        b_rule, b_pos = first.rule, first.pos
+        if b_pos == pos and b_rule.rule_id == rule_id:
+            memo[key] = ()
+            continue
+
+        m_b, m_s = len(b_rule.lhs), len(rule.lhs)
+        if b_pos + m_b <= pos:
+            # disjoint: compare via the two residual steps across the square
+            head: tuple[_RawEntry, ...] = ()
+            target_b = source[:b_pos] + b_rule.rhs + source[b_pos + m_b :]
+            shifted = pos + len(b_rule.rhs) - m_b
+            children = [((target_b, rule_id, shifted), rule, max(0, b_pos - window), None)]
+            split = 1
+            # b stays the first step after the given one unless a redex that
+            # starts at or before b_pos reaches past pos, which needs more
+            # than pos - b_pos letters
+            if pos - b_pos <= window:
+                target_s = source[:pos] + rule.rhs + source[pos + m_s :]
+                hint = min(b_pos, max(0, pos - window))
+                children.append(((target_s, b_rule.rule_id, b_pos), b_rule, hint, None))
         else:
-            for sub_pi, sub_entries in reversed(collected):
-                _accumulate(pi, sub_pi, -1)
-                entries.extend(_negate_entries(sub_entries))
-    result = (pi, tuple(entries))
-    memo[key] = result
-    return result
+            # overlapping: the minimal overlap is a critical branching
+            ov_end = max(b_pos + m_b, pos + m_s)
+            overlap = source[b_pos:ov_end]
+            left_ctx, right_ctx = source[:b_pos], source[ov_end:]
+            lookup = branching_key(overlap, (b_rule.rule_id, 0), (rule_id, pos - b_pos))
+            basis_loop = index.by_key.get(lookup)
+            if basis_loop is None:  # pragma: no cover - would be an enumeration bug
+                raise RuntimeError(f"no critical branching indexed for overlap {overlap}")
+            conf = basis_loop.confluence
+            branching = conf.branching
+            c1 = (branching.rule1.rule_id, 0)
+            local_b = (b_rule.rule_id, 0)
+            local_s = (rule_id, pos - b_pos)
+            completion_b, completion_s = conf.completion1, conf.completion2
+            if local_b == c1 and local_s == (branching.rule2.rule_id, branching.offset):
+                beta_sign = -1
+            elif local_s == c1 and local_b == (branching.rule2.rule_id, branching.offset):
+                beta_sign = 1
+                completion_b, completion_s = conf.completion2, conf.completion1
+            else:  # pragma: no cover - inconsistent index
+                raise RuntimeError("branching lookup does not match the step pair")
+            head = ((beta_sign, left_ctx, right_ctx, source, basis_loop.basis_id),)
+            hint = max(0, b_pos - window)
+            children = [
+                ((left_ctx + word + right_ctx, step_rule.rule_id, b_pos + q), step_rule, hint, None)
+                for path in (completion_b, completion_s)
+                for word, step_rule, q, _ in path.walk()
+            ]
+            split = len(completion_b)
+        stack.append((key, rule, start, (head, [child[0] for child in children], split)))
+        stack.extend(reversed(children))
+    return [memo[(source, rule.rule_id, pos)] for source, rule, pos in steps]
 
 
-def decompose_step(s: RewriteStep, p: Presentation) -> PiElement:
+def _pi(entries, p: Presentation) -> PiElement:
+    """The element of signed entries ``(sign, left, right, ..., basis id)``:
+    each adds its sign at the classes of its contexts and its basis id."""
+    pi: PiElement = {}
+    for sign, left, right, *_, basis_id in entries:
+        _bump(pi, ((normal_form(p, left), normal_form(p, right)), basis_id), sign)
+    return pi
+
+
+def decompose_step(s: RewriteStep, p: Presentation, *, fuel: int = DEFAULT_FUEL) -> PiElement:
     """Basis representation of a positive step's normalization loop: the
     class of (canonical path of the source)⁻ ⁎ step ⁎ (canonical path of
-    the target)."""
+    the target).  ``fuel`` bounds the peak-elimination frames expanded;
+    running out raises FuelError."""
     _require_convergent(p)
     if s.sign <= 0:
         raise ValueError("decompose_step expects a positive step")
-    pi, _ = _e_class(s.source, s.rule, s.pos, p, _basis(p), {}, 0)
-    return dict(pi)
+    (entries,) = _peak_entries([(s.source, s.rule, s.pos)], p, _basis(p), fuel)
+    return _pi(entries, p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,27 +327,30 @@ class DecompositionCertificate:
     pi: PiElement
 
 
-def decompose_loop(f: Path, p: Presentation) -> DecompositionCertificate:
+def decompose_loop(
+    f: Path, p: Presentation, *, fuel: int = DEFAULT_FUEL
+) -> DecompositionCertificate:
     """Express a closed path over the generating-confluence basis.
 
     The certificate's element is the signed sum of the per-step classes;
     each entry records the whisker context, the basis loop, and a
     conjugator from the loop's base to the word the contribution lives at.
-    Its footprint always replays to the footprint of ``f``.
+    Its footprint always replays to the footprint of ``f``.  ``fuel``
+    bounds the peak-elimination frames expanded over all steps; running out
+    raises FuelError.
     """
     _require_convergent(p)
     if not f.is_closed:
         raise ValueError("decompose_loop expects a closed path")
-    index = _basis(p)
-    memo: dict = {}
-    pi: PiElement = {}
+    words = [source for source, _, _, _ in f.walk()] + [f.target]
+    # an inverse step is the positive step from its target, negated
+    steps = [
+        (words[i] if sign > 0 else words[i + 1], rule, pos)
+        for i, (rule, pos, sign) in enumerate(f.moves)
+    ]
     raw: list[_RawEntry] = []
-    for source, rule, pos, sign in f.walk():
-        # an inverse step is the positive step from its target, negated
-        word = source if sign > 0 else RewriteStep(source, rule, pos, sign).target
-        sub_pi, sub_entries = _e_class(word, rule, pos, p, index, memo, 0)
-        _accumulate(pi, sub_pi, sign)
-        raw.extend(sub_entries if sign > 0 else _negate_entries(sub_entries))
+    for (_, _, sign), entries in zip(f.moves, _peak_entries(steps, p, _basis(p), fuel)):
+        raw.extend(entries if sign > 0 else _negate_entries(entries))
     head = normal_path(p, f.base).moves
     conjugators: dict[Word, Path] = {}
 
@@ -357,7 +372,7 @@ def decompose_loop(f: Path, p: Presentation) -> DecompositionCertificate:
         CertificateEntry(sign, left, right, conjugator(base), bid)
         for sign, left, right, base, bid in raw
     )
-    return DecompositionCertificate(f, entries, pi)
+    return DecompositionCertificate(f, entries, _pi(raw, p))
 
 
 def pi_footprint(x: PiElement, p: Presentation) -> Footprint:
@@ -402,10 +417,7 @@ def verify_certificate(
     list, and its footprint must equal the loop's footprint exactly."""
     _require_convergent(p)
     problems: list[str] = []
-    summary: PiElement = {}
-    for entry in cert.entries:
-        ctx = (normal_form(p, entry.left), normal_form(p, entry.right))
-        _bump(summary, (ctx, entry.basis_id), entry.sign)
+    summary = _pi(((e.sign, e.left, e.right, e.basis_id) for e in cert.entries), p)
     if summary != cert.pi:
         problems.append("entry list does not sum to the stated element")
     if pi_footprint(cert.pi, p) != footprint(f, p):

@@ -17,6 +17,7 @@ from .errors import FuelError, NotTerminatingError, UnorientableError
 from .presentation import (
     GREATER,
     LESS,
+    IndexAutomaton,
     Presentation,
     Rule,
     Word,
@@ -54,6 +55,26 @@ def _orient(p: Presentation, u: Word, v: Word) -> tuple[Word, Word]:
     raise UnorientableError(
         f"the order cannot orient {''.join(u) or 'ε'} = {''.join(v) or 'ε'}"
     )
+
+
+def _reducible_by_others(index: IndexAutomaton, lhs: Word, idx: int) -> bool:
+    """Whether a left-hand side other than rule ``idx``'s occurs in ``lhs``,
+    rule ``idx``'s own left-hand side.
+
+    Reading ``lhs`` from state 0 passes through the trie states of its
+    prefixes.  Before the last letter, a left-hand side ending there is
+    shorter than ``lhs``, so it is another rule's.  After it, the state is
+    ``lhs`` itself: another rule occurs when a second rule has this left-hand
+    side or one on the failure chain ends there.
+    """
+    delta, longest = index.delta, index.longest
+    state = 0
+    for letter in lhs[:-1]:
+        state = delta[state][letter]
+        if longest[state]:
+            return True
+    state = delta[state][lhs[-1]]
+    return index.ends[state] != (idx,) or index.out[state] != 0
 
 
 def knuth_bendix(
@@ -110,12 +131,13 @@ def knuth_bendix(
         changed = True
         while changed:
             changed = False
-            # collapse rules whose lhs the others already reduce; one scan
-            # against the whole set finds them, so only a rule found
-            # reducible pays for a presentation of the others
+            # collapse rules whose lhs the others already reduce; one read of
+            # each lhs on the whole set's index finds them, so only a rule
+            # found reducible pays for a presentation of the others
             current = _with_rules(p, rules)
+            index = current.index_automaton
             for idx, rule in enumerate(rules):
-                if all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, current)):
+                if not _reducible_by_others(index, rule.lhs, idx):
                     continue
                 q = _with_rules(p, rules[:idx] + rules[idx + 1 :])
                 u = _reduce(rule.lhs, q)[0]
@@ -147,8 +169,7 @@ def knuth_bendix(
     while True:
         pending = None
         for b in _branchings_in_order(current, overlaps):
-            left = RewriteStep(b.overlap, b.rule1, 0, 1).target
-            right = RewriteStep(b.overlap, b.rule2, b.offset, 1).target
+            left, right = b.targets
             nf_left = _reduce(left, current)[0]
             nf_right = _reduce(right, current)[0]
             if nf_left != nf_right:

@@ -146,6 +146,19 @@ class Presentation:
                         f"rule {rule.rule_id}: unknown generator {g!r}"
                     )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # computed once: presentations key the per-presentation caches, and
+        # hashing one hashes every rule
+        return hash((self.generators, self.rules, self.order))
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a pickle leaves it out
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
+
     @cached_property
     def generator_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.generators)}

@@ -17,13 +17,15 @@ start before it commits (see ``normalize``).
 
 A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
 triples: every word along it follows from those, so a stored path holds
-two words (its base and its target) however many steps it has.  One
-function, ``_rewrite``, rewrites a word: in place, on a list, after
-checking that the factor it replaces occurs there.  Building a path replays
-its moves on one working word, which checks the path and yields its target;
-``Path.walk`` replays them again for the consumers that need each step's
-source word, and ``Path.steps`` builds ``RewriteStep`` values (and keeps
-them) only when asked for; in the library only a path's hash and repr ask.
+two words (its base and its target) however many steps it has.  A move
+applies where the factor it replaces occurs at its position;
+``RewriteStep`` and ``Path.from_moves`` check that inline, and
+``_bad_move`` gives the error for a move that does not apply.  Building a
+path replays its moves on one working word, which checks the path and
+yields its target; ``Path.walk`` replays them again for the consumers that
+need each step's source word, and ``Path.steps`` builds ``RewriteStep``
+values (and keeps them) only when asked for; in the library only a path's
+hash and repr ask.
 """
 
 from __future__ import annotations
@@ -62,26 +64,23 @@ Move = tuple[Rule, int, int]
 """A signed, positioned rule application without its word: (rule, pos, sign)."""
 
 
-def _rewrite(word: list[str], rule: Rule, pos: int, sign: int) -> None:
-    """Apply the move ``(rule, pos, sign)`` to ``word`` in place.
+def _bad_move(word: Sequence[str], rule: Rule, pos: int, sign: int) -> Exception:
+    """The error for a move ``(rule, pos, sign)`` that does not apply to
+    ``word``.
 
-    Sign +1 replaces the lhs by the rhs at ``pos``; sign -1 replaces the rhs
-    by the lhs.  Raises MatchError, leaving ``word`` unchanged, when the
-    factor to replace does not occur at ``pos``.
+    A move applies when its sign is +1 or -1 and the factor it replaces (the
+    lhs for +1, the rhs for -1) occurs at ``pos``.  ``RewriteStep`` and
+    ``Path.from_moves`` check this inline, once per move, and raise what this
+    returns when the check fails.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        return ValueError("sign must be +1 or -1")
     if pos < 0:
-        raise MatchError(f"negative position {pos}")
-    factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
-    end = pos + len(factor)
-    if pos > len(word) or tuple(word[pos:end]) != factor:
-        side = "lhs" if sign > 0 else "rhs"
-        raise MatchError(
-            f"{side} of rule {rule.rule_id} does not occur at "
-            f"position {pos} of {''.join(word) or 'ε'!r}"
-        )
-    word[pos:end] = replacement
+        return MatchError(f"negative position {pos}")
+    return MatchError(
+        f"{'lhs' if sign > 0 else 'rhs'} of rule {rule.rule_id} does not occur at "
+        f"position {pos} of {''.join(word) or 'ε'!r}"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,9 +100,12 @@ class RewriteStep:
     target: Word = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        word = list(self.source)
-        _rewrite(word, self.rule, self.pos, self.sign)
-        object.__setattr__(self, "target", tuple(word))
+        source, rule, pos, sign = self.source, self.rule, self.pos, self.sign
+        factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
+        end = pos + len(factor)
+        if sign not in (1, -1) or not 0 <= pos <= len(source) or source[pos:end] != factor:
+            raise _bad_move(source, rule, pos, sign)
+        object.__setattr__(self, "target", source[:pos] + replacement + source[end:])
 
     @property
     def matched(self) -> Word:
@@ -160,7 +162,12 @@ class Path:
         word = list(base)
         checked: list[Move] = []
         for move in moves:
-            _rewrite(word, *move)
+            rule, pos, sign = move
+            factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
+            end = pos + len(factor)
+            if sign not in (1, -1) or not 0 <= pos <= len(word) or tuple(word[pos:end]) != factor:
+                raise _bad_move(word, rule, pos, sign)
+            word[pos:end] = replacement
             checked.append(move)
         path = cls.__new__(cls)
         object.__setattr__(path, "base", base)
@@ -191,7 +198,11 @@ class Path:
         word = list(self.base)
         for rule, pos, sign in self.moves:
             yield tuple(word), rule, pos, sign
-            _rewrite(word, rule, pos, sign)
+            # the moves were checked when the path was built
+            if sign > 0:
+                word[pos : pos + len(rule.lhs)] = rule.rhs
+            else:
+                word[pos : pos + len(rule.rhs)] = rule.lhs
 
     @property
     def is_closed(self) -> bool:

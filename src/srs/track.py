@@ -11,6 +11,7 @@ abelian module).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 from .errors import BoundaryError, DisjointnessError, ParseError
 from .presentation import Presentation, Rule, Word, format_word, parse_word
@@ -48,14 +49,19 @@ def whisker(u: Word, p: Path, v: Word) -> Path:
 def free_reduce(p: Path) -> Path:
     """Delete adjacent move pairs that are exact mutual inverses (same rule,
     same position, opposite signs) until none remain.  Endpoints are kept."""
+    return Path.from_moves(p.base, _free_reduced(p.moves))
+
+
+def _free_reduced(moves: Iterable[Move]) -> list[Move]:
+    """The moves of ``free_reduce``, read once with a stack."""
     stack: list[Move] = []
-    for move in p.moves:
+    for move in moves:
         rule, pos, sign = move
         if stack and stack[-1] == (rule, pos, -sign):
             stack.pop()
         else:
             stack.append(move)
-    return Path.from_moves(p.base, stack)
+    return stack
 
 
 def _sizes(move: Move) -> tuple[int, int]:

@@ -13,6 +13,7 @@ from srs import (
     CompletionEvent,
     CriticalBranching,
     FuelError,
+    NotJoinableError,
     NotTerminatingError,
     Path,
     Presentation,
@@ -22,20 +23,26 @@ from srs import (
     TranslationMap,
     Word,
     apply_step,
+    basis_loops,
     check_termination,
     compose,
     conjugate,
+    critical_branchings,
     find_redexes,
+    first_redex,
     free_reduce,
+    generating_confluence,
     invert,
+    normal_form,
     normal_path,
     normalize,
     parse_presentation,
     translate_word,
     whisker,
 )
+from srs.abelian import CertificateEntry, DecompositionCertificate
 from srs.completion import _orient, _with_rules
-from srs.critical import CONTAINMENT, PROPER, branching_key
+from srs.critical import CONTAINMENT, PROPER, BranchingFailure, branching_key
 
 AS_TEXT = "generators: a\norder: shortlex a\nrules:\n r: a a -> a\n"
 
@@ -361,6 +368,134 @@ def conjugator_oracle(p: Presentation, loop_base: Word, base: Word) -> Path:
     path of ``base``, free-reduced, as ``decompose_loop`` built it before
     it replayed each conjugator once."""
     return free_reduce(compose(normal_path(p, loop_base), invert(normal_path(p, base))))
+
+
+def generating_confluence_loop_oracle(b: CriticalBranching, p: Presentation) -> Path:
+    """A generating confluence's boundary loop as four path-algebra calls,
+    each replaying its result: (step1 ⁎ completion1) ⁎ (step2 ⁎
+    completion2)⁻, free-reduced."""
+    step1 = Path(b.overlap, (RewriteStep(b.overlap, b.rule1, 0, 1),))
+    step2 = Path(b.overlap, (RewriteStep(b.overlap, b.rule2, b.offset, 1),))
+    completion1 = normal_path(p, step1.target)
+    completion2 = normal_path(p, step2.target)
+    return free_reduce(compose(compose(step1, completion1), invert(compose(step2, completion2))))
+
+
+def local_confluence_failures_oracle(p: Presentation) -> tuple[BranchingFailure, ...]:
+    """The unjoinable critical branchings, found by building every
+    generating confluence and catching NotJoinableError."""
+    failures = []
+    for b in critical_branchings(p):
+        try:
+            generating_confluence(b, p)
+        except NotJoinableError as exc:
+            failures.append(BranchingFailure(b, exc.left_nf, exc.right_nf))
+    return tuple(failures)
+
+
+def _negate_entries(entries):
+    return tuple(
+        (-sign, left, right, base, bid) for sign, left, right, base, bid in reversed(entries)
+    )
+
+
+def _bump(acc: dict, key, value: int):
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def _accumulate(acc: dict, other: dict, scale: int = 1):
+    for key, value in other.items():
+        _bump(acc, key, scale * value)
+
+
+def e_class_oracle(source: Word, rule: Rule, pos: int, p: Presentation, memo: dict):
+    """Peak elimination by recursion: the class, as a basis element and as
+    raw entries ``(sign, left, right, base, basis id)``, of the loop
+    comparing the step (source, rule, pos, +) against the canonical
+    normalization of its source.  Each call sums its own element from its
+    children's, and scans each source from position 0."""
+    key = (source, rule.rule_id, pos)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    first = first_redex(source, p)
+    b_rule, b_pos = first.rule, first.pos
+    if (b_rule.rule_id, b_pos) == (rule.rule_id, pos):
+        memo[key] = ({}, ())
+        return memo[key]
+    m_b, m_s = len(b_rule.lhs), len(rule.lhs)
+    if b_pos + m_b <= pos:
+        target_b = RewriteStep(source, b_rule, b_pos, 1).target
+        target_s = RewriteStep(source, rule, pos, 1).target
+        shift = len(b_rule.rhs) - m_b
+        pi_s, entries_s = e_class_oracle(target_b, rule, pos + shift, p, memo)
+        pi_b, entries_b = e_class_oracle(target_s, b_rule, b_pos, p, memo)
+        pi = dict(pi_s)
+        _accumulate(pi, pi_b, -1)
+        memo[key] = (pi, entries_s + _negate_entries(entries_b))
+        return memo[key]
+    ov_end = max(b_pos + m_b, pos + m_s)
+    overlap = source[b_pos:ov_end]
+    left_ctx, right_ctx = source[:b_pos], source[ov_end:]
+    lookup = branching_key(overlap, (b_rule.rule_id, 0), (rule.rule_id, pos - b_pos))
+    basis_loop = next(
+        bl
+        for bl in basis_loops(p)
+        if branching_key(bl.confluence.branching.overlap, *bl.confluence.branching.redexes)
+        == lookup
+    )
+    conf = basis_loop.confluence
+    branching = conf.branching
+    if ((b_rule.rule_id, 0), (rule.rule_id, pos - b_pos)) == branching.redexes:
+        beta_sign, completion_b, completion_s = -1, conf.completion1, conf.completion2
+    else:
+        beta_sign, completion_b, completion_s = 1, conf.completion2, conf.completion1
+    pi: dict = {}
+    ctx_class = (normal_form(p, left_ctx), normal_form(p, right_ctx))
+    _bump(pi, (ctx_class, basis_loop.basis_id), beta_sign)
+    entries = [(beta_sign, left_ctx, right_ctx, source, basis_loop.basis_id)]
+    for path, sign in ((completion_b, 1), (completion_s, -1)):
+        collected = [
+            e_class_oracle(left_ctx + step.source + right_ctx, step.rule, b_pos + step.pos, p, memo)
+            for step in path.steps
+        ]
+        if sign > 0:
+            for sub_pi, sub_entries in collected:
+                _accumulate(pi, sub_pi, 1)
+                entries.extend(sub_entries)
+        else:
+            for sub_pi, sub_entries in reversed(collected):
+                _accumulate(pi, sub_pi, -1)
+                entries.extend(_negate_entries(sub_entries))
+    memo[key] = (pi, tuple(entries))
+    return memo[key]
+
+
+def decompose_step_oracle(s: RewriteStep, p: Presentation) -> dict:
+    """``decompose_step`` by the recursive peak elimination."""
+    return dict(e_class_oracle(s.source, s.rule, s.pos, p, {})[0])
+
+
+def decompose_loop_oracle(f: Path, p: Presentation) -> DecompositionCertificate:
+    """``decompose_loop`` by the recursive peak elimination, each step's
+    element added in, with the conjugators of ``conjugator_oracle``."""
+    memo: dict = {}
+    pi: dict = {}
+    raw = []
+    for step in f.steps:
+        word = step.source if step.sign > 0 else step.target
+        sub_pi, sub_entries = e_class_oracle(word, step.rule, step.pos, p, memo)
+        _accumulate(pi, sub_pi, step.sign)
+        raw.extend(sub_entries if step.sign > 0 else _negate_entries(sub_entries))
+    entries = tuple(
+        CertificateEntry(sign, left, right, conjugator_oracle(p, f.base, base), bid)
+        for sign, left, right, base, bid in raw
+    )
+    return DecompositionCertificate(f, entries, pi)
 
 
 def reachable_normal_forms(p: Presentation, start: Word) -> set[Word]:

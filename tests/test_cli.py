@@ -100,11 +100,19 @@ def test_normalize_long_token_in_normal_form(tmp_path, capsys):
     assert out.splitlines() == ["normal form: " + "a" * 10_000, "path: " + "a" * 10_000 + ":"]
 
 
-def test_decompose_depth_limit_is_a_diagnostic(as_file, capsys):
+def test_decompose_a_700_letter_loop(as_file, capsys):
+    loop = " ".join("a" * 700) + ": +r@650 -r@650"
+    code, out, err = run(capsys, "decompose", as_file, loop, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verified"] is True
+
+
+def test_decompose_out_of_fuel_is_a_diagnostic(as_file, capsys, monkeypatch):
+    monkeypatch.setitem(abelian.decompose_loop.__kwdefaults__, "fuel", 100)
     loop = " ".join("a" * 700) + ": +r@650 -r@650"
     code, out, err = run(capsys, "decompose", as_file, loop)
     assert (code, out) == (2, "")
-    assert err == "srs: peak elimination exceeded its depth limit of 600\n"
+    assert err == "srs: peak elimination did not finish within 100 frames\n"
 
 
 def test_critical_pairs(as_file, capsys):

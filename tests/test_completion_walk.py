@@ -22,10 +22,12 @@ from srs import (
     UnorientableError,
     compare_words,
     critical_branchings,
+    find_redexes,
     knuth_bendix,
     normalize,
     parse_presentation,
 )
+from srs.completion import _reducible_by_others
 from srs.critical import CONTAINMENT, PROPER
 from helpers import (
     critical_branchings_oracle,
@@ -61,6 +63,16 @@ def rule_systems(draw):
 @given(rule_systems())
 def test_walk_lists_the_sorted_enumeration(p):
     assert critical_branchings(p) == critical_branchings_oracle(p)
+
+
+@PROPERTY
+@given(rule_systems())
+def test_reducibility_read_on_the_index_matches_the_redex_list(p):
+    """A rule's lhs holds another rule's lhs exactly when ``find_redexes``
+    lists a redex of another rule in it."""
+    for idx, rule in enumerate(p.rules):
+        listed = not all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, p))
+        assert _reducible_by_others(p.index_automaton, rule.lhs, idx) == listed
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from srs import (
+    FuelError,
     NotJoinableError,
     NotTerminatingError,
     brute_force_confluence,
@@ -11,12 +14,15 @@ from srs import (
     generating_confluence,
     is_convergent,
     is_locally_confluent,
+    knuth_bendix,
     parse_presentation,
     words_up_to,
 )
 from helpers import (
     as_presentation,
     four_rule_presentation,
+    generating_confluence_loop_oracle,
+    local_confluence_failures_oracle,
     random_terminating_presentation,
     reachable_normal_forms,
     two_rule_presentation,
@@ -179,3 +185,26 @@ def test_brute_force_reports_a_rewriting_cycle():
     p = parse_presentation("generators: a b\norder: shortlex a < b\nrules:\n r1: a -> b\n r2: b -> a\n")
     with pytest.raises(NotTerminatingError, match="returns to"):
         brute_force_confluence(p, 1)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1))
+def test_branchings_check_and_loops_match_the_path_algebra_oracle(seed):
+    """Local confluence compares normal forms and reports the failures that
+    building each loop reports, and each loop is the free-reduced composite
+    of the branching's steps and completions."""
+    rng = random.Random(seed)
+    p = random_terminating_presentation(rng)
+    systems = [p]
+    try:
+        systems.append(knuth_bendix(p, fuel=12)[0])
+    except FuelError:
+        pass
+    for q in systems:
+        failures = is_locally_confluent(q).failures
+        assert failures == local_confluence_failures_oracle(q)
+        failed = [f.branching for f in failures]
+        for b in critical_branchings(q):
+            if b not in failed:
+                expected = generating_confluence_loop_oracle(b, q)
+                assert generating_confluence(b, q).loop == expected

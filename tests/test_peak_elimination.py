@@ -1,0 +1,183 @@
+"""Peak elimination on one explicit work stack: certificates (conjugators
+included), elements and step classes equal those of the recursive oracle,
+loops longer than the interpreter's recursion limit decompose, and the
+frames expanded are bounded by fuel."""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from srs import (
+    FuelError,
+    Path,
+    RewriteStep,
+    basis_loops,
+    compose,
+    conjugate,
+    decompose_loop,
+    decompose_step,
+    find_redexes,
+    invert,
+    knuth_bendix,
+    normal_path,
+    parse_presentation,
+    verify_certificate,
+)
+from srs import abelian
+from helpers import (
+    alt_normal_path,
+    as_presentation,
+    decompose_loop_oracle,
+    decompose_step_oracle,
+    four_rule_presentation,
+    random_loop,
+    random_mixed_path,
+    random_terminating_presentation,
+    random_word,
+)
+
+SORTING_TEXT = (
+    "generators: a b c\norder: shortlex a < b < c\nrules:\n"
+    " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n"
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def sorting_presentation():
+    return parse_presentation(SORTING_TEXT)
+
+
+def zigzag(p, word):
+    """Leftmost normalization of ``word`` against the rightmost one."""
+    return compose(normal_path(p, word), invert(alt_normal_path(p, word)))
+
+
+def check_against_oracle(loop, p):
+    cert = decompose_loop(loop, p)
+    expected = decompose_loop_oracle(loop, p)
+    assert cert.entries == expected.entries
+    assert cert.pi == expected.pi
+
+
+def check_loops_and_steps(rng, p, max_len):
+    basis = tuple(bl.loop for bl in basis_loops(p))
+    loop = random_loop(rng, p, basis, max_len=max_len)
+    check_against_oracle(loop, p)
+    out = random_mixed_path(rng, p, loop.base, 4)
+    check_against_oracle(conjugate(loop, invert(out)), p)
+    word = random_word(rng, p, max_len + 2)
+    check_against_oracle(zigzag(p, word), p)
+    for redex in find_redexes(word, p):
+        step = RewriteStep(word, redex.rule, redex.pos, 1)
+        assert decompose_step(step, p) == decompose_step_oracle(step, p)
+
+
+@PROPERTY
+@given(
+    st.sampled_from((as_presentation, four_rule_presentation, sorting_presentation)),
+    st.integers(0, 2**32 - 1),
+)
+def test_certificates_and_step_classes_match_the_recursive_oracle(make, seed):
+    check_loops_and_steps(random.Random(seed), make(), 8)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_certificates_on_completed_systems_match_the_recursive_oracle(seed):
+    rng = random.Random(seed)
+    try:
+        q, _ = knuth_bendix(random_terminating_presentation(rng), fuel=12)
+    except FuelError:
+        assume(False)
+    check_loops_and_steps(rng, q, 6)
+
+
+def test_negated_completion_steps_join_in_reverse_order():
+    """Both completions of an overlap hold several steps with entries, so the
+    order in which the second one's are negated shows in the entries."""
+    p = parse_presentation(
+        "generators: a b\norder: shortlex a < b\nrules:\n r1: b a a -> a b\n"
+        " r2: a b a -> b a\n r3: b b b -> a b b\n kb1: a b b a -> b b a\n"
+        " kb2: a a b -> a b\n kb3: b a b -> a b b\n"
+    )
+    check_against_oracle(zigzag(p, tuple("abbaabaaba")), p)
+
+
+def test_a_residual_one_letter_short_of_the_longest_lhs_is_visited():
+    """After ``r3`` at 2 in ``a b d``, the first step ``r2`` at 0 meets
+    ``r1``, of lower index, which now occurs at 0 in ``a b c``: b's residual
+    is not the first step there."""
+    p = parse_presentation(
+        "generators: a b c d\norder: shortlex a < b < c < d\nrules:\n"
+        " r1: a b c -> b c\n r2: a ->\n r3: d -> c\n"
+    )
+    step = RewriteStep(tuple("abd"), p.rule_by_id["r3"], 2, 1)
+    assert decompose_step(step, p) == decompose_step_oracle(step, p) != {}
+
+
+def certificate_digest(cert):
+    h = hashlib.sha256()
+    for e in cert.entries:
+        moves = [(rule.rule_id, pos, sign) for rule, pos, sign in e.conjugator.moves]
+        h.update(repr((e.sign, e.left, e.right, e.basis_id, e.conjugator.base, moves)).encode())
+    h.update(repr(sorted(cert.pi.items())).encode())
+    return h.hexdigest()
+
+
+def test_the_816_step_zigzag_certificate_is_pinned():
+    """The certificate of the (cba)^16 zigzag under the sorting system, as
+    the recursive peak elimination gave it: entries, conjugators and
+    element."""
+    p = sorting_presentation()
+    loop = zigzag(p, tuple("cba" * 16))
+    assert len(loop) == 816
+    cert = decompose_loop(loop, p)
+    assert (len(cert.entries), len(cert.pi)) == (816, 816)
+    assert certificate_digest(cert) == (
+        "2fd4749b59292493a740c61330cf05412cfa74d8c183fea9588944d5a2744b3a"
+    )
+
+
+@pytest.mark.parametrize("moves", [((950, 1), (950, -1)), ((998, 1), (0, -1))])
+def test_a_1000_letter_loop_decomposes(moves):
+    p = as_presentation()
+    r = p.rule_by_id["r"]
+    loop = Path.from_moves(("a",) * 1000, [(r, pos, sign) for pos, sign in moves])
+    cert = decompose_loop(loop, p)
+    assert verify_certificate(loop, cert, p).ok
+
+
+def test_fuel_counts_expanded_frames():
+    p = sorting_presentation()
+    loop = zigzag(p, tuple("cbacba"))
+    original = abelian.first_redex
+    scans = []
+
+    def counting(word, q, start=0):
+        scans.append(start)
+        return original(word, q, start)
+
+    abelian.first_redex = counting
+    try:
+        expected = decompose_loop(loop, p)
+    finally:
+        abelian.first_redex = original
+    frames = len(scans)
+    assert frames > 1
+    assert decompose_loop(loop, p, fuel=frames) == expected
+    with pytest.raises(FuelError, match=f"within {frames - 1} frames"):
+        decompose_loop(loop, p, fuel=frames - 1)
+
+
+def test_small_fuel_raises_fuel_error():
+    p = as_presentation()
+    r = p.rule_by_id["r"]
+    loop = Path.from_moves(("a",) * 50, [(r, 40, 1), (r, 40, -1)])
+    with pytest.raises(FuelError, match="peak elimination did not finish within 10 frames"):
+        decompose_loop(loop, p, fuel=10)
+    with pytest.raises(FuelError):
+        decompose_step(RewriteStep(("a",) * 50, r, 40, 1), p, fuel=10)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -211,3 +212,12 @@ def test_presentation_invariants():
         Presentation(("a",), (Rule("r", ("a", "b"), ("a",)),), order)
     with pytest.raises(ValueError, match="precedence"):
         Presentation(("a", "b"), (), order)
+
+
+def test_the_hash_is_kept_and_left_out_of_pickles():
+    p = as_presentation()
+    assert hash(p) == hash((p.generators, p.rules, p.order)) == hash(as_presentation())
+    assert "_hash" in vars(p)
+    # another process hashes strings differently, so the hash is not carried
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and "_hash" not in vars(q) and hash(q) == hash(p)
