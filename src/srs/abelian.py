@@ -356,16 +356,16 @@ def decompose_loop(
 
     def conjugator(base: Word) -> Path:
         # the free reduction of (normal path of f.base) ⁎ (normal path of
-        # base)⁻: both paths are positive, so it cancels exactly the common
-        # suffix of their moves, and one replay builds what is left
+        # base)⁻ cancels their common suffix; the prefixes left meet at one
+        # word, as a positive move determines its source from its target
         path = conjugators.get(base)
         if path is None:
             tail = normal_path(p, base).moves
             k = 0
             while k < min(len(head), len(tail)) and head[-1 - k] == tail[-1 - k]:
                 k += 1
-            back = [(rule, pos, -sign) for rule, pos, sign in reversed(tail[: len(tail) - k])]
-            path = conjugators[base] = Path.from_moves(f.base, head[: len(head) - k] + tuple(back))
+            back = tuple((rule, pos, -sign) for rule, pos, sign in reversed(tail[: len(tail) - k]))
+            path = conjugators[base] = Path._derived(f.base, head[: len(head) - k] + back, base)
         return path
 
     entries = tuple(

@@ -437,13 +437,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    for flag, value in ("--max-len", vars(args).get("max_len")), ("--fuel", vars(args).get("fuel")):
+        if value is not None and value < 0:
+            print(f"srs: {flag} must be at least 0, got {value}", file=sys.stderr)
+            return 2
     try:
         status, payload = args.handler(args)
     except OSError as exc:
         print(f"srs: cannot read {exc.filename}", file=sys.stderr)
         return 2
-    except (RewritingError, ValueError) as exc:
-        print(f"srs: {exc}", file=sys.stderr)
+    except (RewritingError, ValueError, RecursionError, MemoryError) as exc:
+        print(f"srs: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if args.format == "json":
         document = {"schema": SCHEMA, "command": args.command, **payload}

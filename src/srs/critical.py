@@ -146,9 +146,9 @@ def generating_confluence(b: CriticalBranching, p: Presentation) -> GeneratingCo
     if completion1.target != completion2.target:
         raise NotJoinableError(b, completion1.target, completion2.target)
     back = [(rule, pos, -sign) for rule, pos, sign in reversed(step2.moves + completion2.moves)]
-    loop = Path.from_moves(
-        b.overlap, _free_reduced(step1.moves + completion1.moves + tuple(back))
-    )
+    # free-reduced moves of checked completions, closed at the overlap
+    moves = _free_reduced(step1.moves + completion1.moves + tuple(back))
+    loop = Path._derived(b.overlap, moves, b.overlap)
     return GeneratingConfluence(b, step1, step2, completion1, completion2, loop)
 
 

@@ -20,12 +20,12 @@ triples: every word along it follows from those, so a stored path holds
 two words (its base and its target) however many steps it has.  A move
 applies where the factor it replaces occurs at its position;
 ``RewriteStep`` and ``Path.from_moves`` check that inline, and
-``_bad_move`` gives the error for a move that does not apply.  Building a
-path replays its moves on one working word, which checks the path and
-yields its target; ``Path.walk`` replays them again for the consumers that
-need each step's source word, and ``Path.steps`` builds ``RewriteStep``
-values (and keeps them) only when asked for; in the library only a path's
-hash and repr ask.
+``_bad_move`` gives the error for a move that does not apply.  Every path
+from outside is replayed, and every derived path is replayed under test:
+``Path.from_moves``, ``Path(base, steps)`` and ``parse_path`` replay, and
+``Path._derived`` stores moves known to apply, its callers naming the
+lemma.  ``Path.walk`` replays the moves for consumers of each source word;
+``Path.steps`` builds ``RewriteStep`` values only when asked, for the repr.
 """
 
 from __future__ import annotations
@@ -125,11 +125,11 @@ def apply_step(step: RewriteStep) -> Word:
 class Path:
     """A base word and the moves ``(rule, pos, sign)`` applied from it.
 
-    Every path is checked when it is built: ``Path.from_moves`` replays the
-    moves on one working word, and ``Path(base, steps)`` checks that each
-    ``RewriteStep`` starts where the previous one ended.  The target is
-    computed then, once; it takes no part in equality, hashing or the repr.
-    Equality compares base and moves; the hash and the repr are those of
+    Every path from outside is replayed (``Path.from_moves``, and
+    ``Path(base, steps)``, which checks that each ``RewriteStep`` starts
+    where the previous one ended); every derived path is replayed under
+    test.  The target takes no part in equality, hashing or the repr.
+    Equality and the hash are those of ``(base, moves)``, the repr that of
     ``(base, steps)``.  The empty path at a word is the identity.  See the
     track module for the algebra on paths.
     """
@@ -176,13 +176,23 @@ class Path:
         object.__setattr__(path, "_steps", None)
         return path
 
+    @classmethod
+    def _derived(cls, base: Word, moves: Iterable[Move], target: Word) -> Path:
+        """The path along ``moves``, known to apply from ``base`` to ``target``; no replay."""
+        path = cls.__new__(cls)
+        object.__setattr__(path, "base", base)
+        object.__setattr__(path, "moves", tuple(moves))
+        object.__setattr__(path, "target", target)
+        object.__setattr__(path, "_steps", None)
+        return path
+
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
         """The moves as ``RewriteStep``s, each starting at the previous
         one's target.  Built on the first access and then kept, so that
-        reads of one path share their words; in the library only the hash
-        and the repr read them, so the paths it builds and caches hold no
-        word per step."""
+        reads of one path share their words; in the library only the repr
+        reads them, so the paths it builds and caches hold no word per
+        step."""
         if self._steps is None:
             steps: list[RewriteStep] = []
             current = self.base
@@ -198,7 +208,7 @@ class Path:
         word = list(self.base)
         for rule, pos, sign in self.moves:
             yield tuple(word), rule, pos, sign
-            # the moves were checked when the path was built
+            # the moves apply: the path was replayed or derived from replayed ones
             if sign > 0:
                 word[pos : pos + len(rule.lhs)] = rule.rhs
             else:
@@ -212,7 +222,7 @@ class Path:
         return len(self.moves)
 
     def __hash__(self) -> int:
-        return hash((self.base, self.steps))
+        return hash((self.base, self.moves))
 
     def __repr__(self) -> str:
         return f"Path(base={self.base!r}, steps={self.steps!r})"
@@ -327,9 +337,9 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
     point where fuel runs out and the path are therefore those of a full
     rescan, while a step costs a scan from ``pos`` on, not of the whole word.
     """
-    moves = _reduce(w, p, fuel)[1]
-    path = Path.from_moves(w, moves)
-    return path.target, path
+    target, moves = _reduce(w, p, fuel)
+    # _reduce applied each move to its word as it found it
+    return target, Path._derived(w, moves, target)
 
 
 @lru_cache(maxsize=None)

@@ -27,12 +27,13 @@ def compose(p: Path, q: Path) -> Path:
             f"cannot compose: first path ends at {''.join(p.target) or 'ε'}, "
             f"second starts at {''.join(q.base) or 'ε'}"
         )
-    return Path.from_moves(p.base, p.moves + q.moves)
+    return Path._derived(p.base, p.moves + q.moves, q.target)  # checked paths, joint matched
 
 
 def invert(p: Path) -> Path:
     """Reverse the move order and flip all signs."""
-    return Path.from_moves(p.target, [(rule, pos, -sign) for rule, pos, sign in reversed(p.moves)])
+    # the inverse of a checked path is checked
+    return Path._derived(p.target, [(r, pos, -sign) for r, pos, sign in reversed(p.moves)], p.base)
 
 
 def shift_moves(moves: tuple[Move, ...], offset: int) -> list[Move]:
@@ -43,13 +44,15 @@ def shift_moves(moves: tuple[Move, ...], offset: int) -> list[Move]:
 
 def whisker(u: Word, p: Path, v: Word) -> Path:
     """Embed a path in the context u·(-)·v, shifting move positions by |u|."""
-    return Path.from_moves(u + p.base + v, shift_moves(p.moves, len(u)))
+    # a checked path stays checked in any context
+    return Path._derived(u + p.base + v, shift_moves(p.moves, len(u)), u + p.target + v)
 
 
 def free_reduce(p: Path) -> Path:
     """Delete adjacent move pairs that are exact mutual inverses (same rule,
     same position, opposite signs) until none remain.  Endpoints are kept."""
-    return Path.from_moves(p.base, _free_reduced(p.moves))
+    # a move and its inverse return to the word they left; endpoints stay
+    return Path._derived(p.base, _free_reduced(p.moves), p.target)
 
 
 def _free_reduced(moves: Iterable[Move]) -> list[Move]:
@@ -96,7 +99,8 @@ def exchange_swap(p: Path, i: int) -> Path:
         raise DisjointnessError(
             f"steps {i} and {i + 1} act on overlapping factors"
         )
-    return Path.from_moves(p.base, p.moves[:i] + swapped + p.moves[i + 2 :])
+    # each move acts on a factor the other leaves intact; endpoints stay
+    return Path._derived(p.base, p.moves[:i] + swapped + p.moves[i + 2 :], p.target)
 
 
 def conjugate(f: Path, g: Path) -> Path:

@@ -137,19 +137,19 @@ def functor_image(
     are preserved.  The segments' moves are collected into one path, so the
     cost grows linearly with the length of ``f``."""
     fwd = m.forward_map
+    base = translate_word(f.base, fwd)  # a generator with no image raises here
+    # the image length of each letter of the word the moves have reached
+    widths = [len(fwd[g]) for g in f.base]
     moves: list[Move] = []
-    for source, rule, pos, sign in f.walk():
-        segment = _rule_image(
-            dst, translate_word(rule.lhs, fwd), translate_word(rule.rhs, fwd)
-        )
+    for rule, pos, sign in f.moves:
+        segment = _rule_image(dst, translate_word(rule.lhs, fwd), translate_word(rule.rhs, fwd))
         if sign < 0:
             segment = invert(segment)
-        moves += shift_moves(segment.moves, len(translate_word(source[:pos], fwd)))
-    return Path.from_moves(translate_word(f.base, fwd), moves)
-
-
-def _round_trip(w: Word, m: TranslationMap) -> Word:
-    return translate_word(translate_word(w, m.forward_map), m.backward_map)
+        moves += shift_moves(segment.moves, sum(widths[:pos]))
+        factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
+        widths[pos : pos + len(factor)] = [len(fwd[g]) for g in replacement]
+    # each segment is a checked _rule_image whiskered by the translated context
+    return Path._derived(base, moves, translate_word(f.target, fwd))
 
 
 def comparison_path(
@@ -159,12 +159,13 @@ def comparison_path(
     letter through the normal form each generator shares with its round
     trip, in one pass."""
     moves: list[Move] = []
-    offset = 0
+    target: list[str] = []
     for g in w:
-        g_image = _round_trip((g,), m)
-        moves += shift_moves(_rule_image(sigma, (g,), g_image).moves, offset)
-        offset += len(g_image)
-    return Path.from_moves(w, moves)
+        g_image = translate_word(translate_word((g,), m.forward_map), m.backward_map)
+        moves += shift_moves(_rule_image(sigma, (g,), g_image).moves, len(target))
+        target += g_image
+    # each segment is a checked _rule_image whiskered by the translated context
+    return Path._derived(w, moves, tuple(target))
 
 
 def comparison_loop(

@@ -9,6 +9,8 @@ tolerances to calibrate.
 import random
 import time
 
+import pytest
+
 from srs import (
     act_footprint,
     basis_loops,
@@ -50,6 +52,9 @@ from helpers import (
     two_rule_presentation,
     w,
 )
+
+# every path these tests derive is replayed (see conftest.py)
+pytestmark = pytest.mark.usefixtures("replay_derived")
 
 
 def _report(number: int, name: str, problems: list[str]):

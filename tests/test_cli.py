@@ -6,7 +6,7 @@ from pathlib import Path as FilePath
 import pytest
 
 import srs
-from srs import abelian
+from srs import abelian, cli
 from srs.cli import _build_parser, main
 from helpers import AS_TEXT, TWO_TEXT
 
@@ -262,6 +262,21 @@ def test_usage_errors(as_file, capsys, tmp_path):
     code, _, err = run(capsys, "check", str(broken))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (RecursionError("maximum recursion depth exceeded"), "srs: maximum recursion depth exceeded\n"),
+        (MemoryError(), "srs: MemoryError\n"),
+    ],
+)
+def test_resource_exhaustion_is_a_diagnostic(as_file, capsys, monkeypatch, error, message):
+    def exhausted(path):
+        raise error
+
+    monkeypatch.setattr(cli, "_load", exhausted)
+    assert run(capsys, "check", as_file) == (2, "", message)
 
 
 @pytest.mark.parametrize("role", ["presentation", "map"])

@@ -25,12 +25,14 @@ CASES = {
     "check_brute_force_confluent": ["check", "as.pres", "--max-len", "4"],
     "check_brute_force_witness": ["check", "two.pres", "--max-len", "3"],
     "check_unoriented": ["check", "grow.pres"],
+    "check_negative_max_len": ["check", "two.pres", "--max-len", "-3"],
     "normalize": ["normalize", "as.pres", "aaaa"],
     "normalize_spaced": ["normalize", "two.pres", "a b b a b"],
     "normalize_refused": ["normalize", "grow.pres", "a"],
     "normalize_out_of_fuel": [
         "normalize", "grow.pres", "a", "--assume-terminating", "--fuel", "5"
     ],
+    "normalize_negative_fuel": ["normalize", "two.pres", "ab", "--fuel", "-1"],
     "equal_yes": ["equal", "as.pres", "a a a", "a"],
     "equal_no": ["equal", "as.pres", "ε", "a"],
     "equal_not_convergent": ["equal", "two.pres", "a", "b"],

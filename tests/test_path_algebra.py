@@ -43,6 +43,9 @@ from helpers import (
     whisker_oracle,
 )
 
+# every path these tests derive is replayed (see conftest.py)
+pytestmark = pytest.mark.usefixtures("replay_derived")
+
 SORTING_TEXT = (
     "generators: a b c\norder: shortlex a < b < c\nrules:\n"
     " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n"
@@ -240,12 +243,20 @@ def test_target_takes_no_part_in_equality_hash_or_repr():
     other = Path(w("aaa"), (step,))
     object.__setattr__(other, "target", w("x"))
     assert path == other and hash(path) == hash(other)
-    assert hash(path) == hash((path.base, path.steps))
+    assert hash(path) == hash((path.base, path.moves))
     assert repr(path) == f"Path(base=('a', 'a', 'a'), steps=({step!r},))"
     for cls in (RewriteStep, Path):
         (target,) = [f for f in dataclasses.fields(cls) if f.name == "target"]
         assert not (target.init or target.repr or target.compare)
     assert not hasattr(step, "__dict__") and not hasattr(path, "__dict__")
+
+
+def test_hashing_a_long_path_builds_no_steps():
+    p = as_presentation()
+    path = Path.from_moves(w("a" * 10001), [(p.rules[0], 0, 1)] * 10**4)
+    twin = Path.from_moves(w("a" * 10001), list(path.moves))
+    assert hash(path) == hash(twin) and path == twin
+    assert path._steps is None and twin._steps is None
 
 
 def test_whiskered_steps_share_their_joint_words():

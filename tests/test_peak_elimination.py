@@ -39,6 +39,9 @@ from helpers import (
     random_word,
 )
 
+# every path these tests derive is replayed (see conftest.py)
+pytestmark = pytest.mark.usefixtures("replay_derived")
+
 SORTING_TEXT = (
     "generators: a b c\norder: shortlex a < b < c\nrules:\n"
     " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n"

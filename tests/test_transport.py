@@ -24,6 +24,9 @@ from srs import (
 from srs.transport import format_translation_map
 from helpers import as_presentation, random_loop, random_mixed_path, random_word, w
 
+# every path these tests derive is replayed (see conftest.py)
+pytestmark = pytest.mark.usefixtures("replay_derived")
+
 UPSILON_TEXT = "generators: b e\norder: shortlex b < e\nrules:\n u1: b b -> b\n u2: e ->\n"
 
 
@@ -37,6 +40,14 @@ def as_to_upsilon_map(sigma=None, ups=None):
     return parse_translation_map(
         "forward: a -> b\nbackward: b -> a\nbackward: e -> ε\n", sigma, ups
     )
+
+
+def test_functor_image_of_an_untranslated_generator_is_an_error():
+    p = parse_presentation("generators: a c\norder: shortlex a < c\nrules:\n r: a a -> a\n")
+    m = TranslationMap((("a", ("b",)),), ())
+    path = Path.from_moves(w("caa"), [(p.rules[0], 1, 1)])
+    with pytest.raises(TranslationError, match="no translation for generator 'c'"):
+        functor_image(path, m, p, upsilon())
 
 
 def test_check_translation_renaming():
