@@ -57,7 +57,6 @@ from .track import (
     conjugate,
     exchange_swap,
     format_path,
-    format_step,
     free_reduce,
     invert,
     parse_path,

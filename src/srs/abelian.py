@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FuelError, NotConvergentError
+from .errors import FuelError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
     DEFAULT_FUEL,
@@ -35,12 +35,7 @@ from .rewrite import (
     normal_form,
     normal_path,
 )
-from .critical import (
-    branching_key,
-    critical_branchings,
-    generating_confluence,
-    is_convergent,
-)
+from .critical import _require_convergent, critical_branchings, generating_confluence
 
 # footprint: (left class, rule id, right class) -> nonzero integer
 Footprint = dict[tuple[Word, str, Word], int]
@@ -58,13 +53,6 @@ def _bump(acc: dict, key, value: int):
 def _accumulate(acc: dict, other: dict, scale: int = 1):
     for key, value in other.items():
         _bump(acc, key, scale * value)
-
-
-def _require_convergent(p: Presentation):
-    if not is_convergent(p).ok:
-        raise NotConvergentError(
-            "this computation needs a convergent presentation; run completion first"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +100,29 @@ class BasisLoop:
 
 
 class _BasisIndex:
-    """Per-presentation basis: loops in canonical order, looked up by the
-    overlap word and its unordered redex pair."""
+    """Per-presentation basis: loops in canonical order, and each loop's
+    branching oriented from both of its redexes.
+
+    ``by_pair[(overlap, redex_a, redex_b)]`` is ``(sign, basis id,
+    completion of redex_a's side, completion of redex_b's side)`` for both
+    orders of a branching's redex pair: the sign is -1 in the branching's
+    own order, whose loop runs down redex_a's side and back up redex_b's,
+    and +1 in the other.
+    """
 
     def __init__(self, p: Presentation):
         loops = []
-        by_key = {}
+        by_pair = {}
         for n, branching in enumerate(critical_branchings(p), start=1):
             conf = generating_confluence(branching, p)
             loop = BasisLoop(f"b{n}", conf)
             loops.append(loop)
-            by_key[branching_key(branching.overlap, *branching.redexes)] = loop
+            first, second = branching.redexes
+            c1, c2 = conf.completion1, conf.completion2
+            by_pair[(branching.overlap, first, second)] = (-1, loop.basis_id, c1, c2)
+            by_pair[(branching.overlap, second, first)] = (1, loop.basis_id, c2, c1)
         self.loops: tuple[BasisLoop, ...] = tuple(loops)
-        self.by_key = by_key
+        self.by_pair = by_pair
         self.by_id = {loop.basis_id: loop for loop in loops}
         self._footprints: dict[str, Footprint] = {}
         self.presentation = p
@@ -254,24 +252,10 @@ def _peak_entries(
             ov_end = max(b_pos + m_b, pos + m_s)
             overlap = source[b_pos:ov_end]
             left_ctx, right_ctx = source[:b_pos], source[ov_end:]
-            lookup = branching_key(overlap, (b_rule.rule_id, 0), (rule_id, pos - b_pos))
-            basis_loop = index.by_key.get(lookup)
-            if basis_loop is None:  # pragma: no cover - would be an enumeration bug
-                raise RuntimeError(f"no critical branching indexed for overlap {overlap}")
-            conf = basis_loop.confluence
-            branching = conf.branching
-            c1 = (branching.rule1.rule_id, 0)
-            local_b = (b_rule.rule_id, 0)
-            local_s = (rule_id, pos - b_pos)
-            completion_b, completion_s = conf.completion1, conf.completion2
-            if local_b == c1 and local_s == (branching.rule2.rule_id, branching.offset):
-                beta_sign = -1
-            elif local_s == c1 and local_b == (branching.rule2.rule_id, branching.offset):
-                beta_sign = 1
-                completion_b, completion_s = conf.completion2, conf.completion1
-            else:  # pragma: no cover - inconsistent index
-                raise RuntimeError("branching lookup does not match the step pair")
-            head = ((beta_sign, left_ctx, right_ctx, source, basis_loop.basis_id),)
+            beta_sign, basis_id, completion_b, completion_s = index.by_pair[
+                (overlap, (b_rule.rule_id, 0), (rule_id, pos - b_pos))
+            ]
+            head = ((beta_sign, left_ctx, right_ctx, source, basis_id),)
             hint = max(0, b_pos - window)
             children = [
                 ((left_ctx + word + right_ctx, step_rule.rule_id, b_pos + q), step_rule, hint, None)
@@ -378,8 +362,7 @@ def decompose_loop(
 def pi_footprint(x: PiElement, p: Presentation) -> Footprint:
     """Linear extension of the footprint to basis representations: each
     basis term contributes its loop's footprint under the term's context."""
-    _require_convergent(p)
-    index = _basis(p)
+    index = _basis(p)  # requires convergence
     out: Footprint = {}
     for (ctx, basis_id), coeff in x.items():
         loop = index.by_id.get(basis_id)

@@ -19,7 +19,6 @@ from pathlib import Path as FilePath
 
 from . import abelian, completion, critical, rewrite, track, transport
 from .errors import (
-    NotConvergentError,
     NotJoinableError,
     NotTerminatingError,
     RewritingError,
@@ -37,14 +36,6 @@ SCHEMA = 1
 
 def _load(path: str) -> Presentation:
     return parse_presentation(FilePath(path).read_text(encoding="utf-8"))
-
-
-def _require_convergent(p: Presentation):
-    cert = critical.is_convergent(p)
-    if not cert.ok:
-        raise NotConvergentError(
-            "presentation is not convergent; run 'complete' first"
-        )
 
 
 def _require_terminating(p: Presentation, args):
@@ -172,7 +163,7 @@ def _text_normalize(payload: dict) -> list[str]:
 
 def _cmd_equal(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    _require_convergent(p)
+    critical._require_convergent(p)
     u = parse_word(args.left, p)
     v = parse_word(args.right, p)
     nf_u = rewrite.normal_form(p, u)
@@ -264,7 +255,7 @@ def _text_complete(payload: dict) -> list[str]:
 
 def _cmd_pi_basis(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    _require_convergent(p)
+    critical._require_convergent(p)
     loops = abelian.basis_loops(p)
     return 0, {
         "loops": [
@@ -281,7 +272,7 @@ def _text_pi_basis(payload: dict) -> list[str]:
 
 def _cmd_decompose(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    _require_convergent(p)
+    critical._require_convergent(p)
     loop = track.parse_path(args.path, p)
     if not loop.is_closed:
         raise RewritingError(
@@ -324,7 +315,7 @@ def _text_decompose(payload: dict) -> list[str]:
 
 def _cmd_footprint(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    _require_convergent(p)
+    critical._require_convergent(p)
     path = track.parse_path(args.path, p)
     return 0, {"footprint": _footprint_json(abelian.footprint(path, p), p)}
 

@@ -14,9 +14,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotJoinableError, NotTerminatingError
+from .errors import FuelError, NotConvergentError, NotJoinableError, NotTerminatingError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
+    DEFAULT_FUEL,
     Path,
     RewriteStep,
     TerminationCertificate,
@@ -202,6 +203,12 @@ def is_convergent(p: Presentation) -> ConvergenceCertificate:
     return ConvergenceCertificate(termination, is_locally_confluent(p))
 
 
+def _require_convergent(p: Presentation):
+    """The precondition of the word problem, the basis and decomposition."""
+    if not is_convergent(p).ok:
+        raise NotConvergentError("presentation is not convergent; run 'complete' first")
+
+
 @dataclass(frozen=True)
 class BruteForceReport:
     max_len: int
@@ -213,10 +220,23 @@ class BruteForceReport:
 
 
 def words_up_to(alphabet: tuple[str, ...], max_len: int):
-    """All words over the alphabet of length at most max_len, shortest first."""
-    for n in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=n):
-            yield combo
+    """All words over the alphabet of length at most max_len, shortest first.
+
+    The exhaustive searches read every letter of every one of them, so more
+    than ``DEFAULT_FUEL`` letters in all raise FuelError before the first
+    word is yielded.  (A count of words would let one generator through
+    with a bound near the fuel, and those words hold half a million million
+    letters.)
+    """
+    lengths = range(max_len + 1 if alphabet else 1)  # over no letters only ε
+    letters = itertools.accumulate(n * len(alphabet) ** n for n in lengths)
+    if any(total > DEFAULT_FUEL for total in letters):
+        raise FuelError(
+            f"the words of length at most {max_len} over {len(alphabet)} generators "
+            f"hold more than {DEFAULT_FUEL} letters, too many to search"
+        )
+    for n in lengths:
+        yield from itertools.product(alphabet, repeat=n)
 
 
 def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:

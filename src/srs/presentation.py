@@ -424,8 +424,6 @@ def _parse_rules(rule_lines: list[tuple[int, str]], names: tuple[str, ...]) -> t
             raise ParseError("expected '<id>: <lhs> -> <rhs>'", lineno)
         rule_id, _, body = line.partition(":")
         rule_id = rule_id.strip()
-        if not _NAME_RE.match(rule_id):
-            raise ParseError(f"bad rule id {rule_id!r}", lineno)
         if rule_id in seen:
             raise ParseError(f"duplicate rule id {rule_id!r}", lineno)
         seen.add(rule_id)
@@ -437,11 +435,10 @@ def _parse_rules(rule_lines: list[tuple[int, str]], names: tuple[str, ...]) -> t
         for g in lhs + rhs:
             if g not in alphabet:
                 raise ParseError(f"unknown generator {g!r}", lineno)
-        if not lhs:
-            raise ParseError(f"rule {rule_id}: empty left-hand side", lineno)
-        if lhs == rhs:
-            raise ParseError(f"rule {rule_id}: sides are equal", lineno)
-        rules.append(Rule(rule_id, lhs, rhs))
+        try:
+            rules.append(Rule(rule_id, lhs, rhs))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return tuple(rules)
 
 

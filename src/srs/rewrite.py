@@ -19,13 +19,13 @@ A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
 triples: every word along it follows from those, so a stored path holds
 two words (its base and its target) however many steps it has.  A move
 applies where the factor it replaces occurs at its position;
-``RewriteStep`` and ``Path.from_moves`` check that inline, and
-``_bad_move`` gives the error for a move that does not apply.  Every path
+``RewriteStep`` and ``Path.from_moves`` check that in ``_apply``.  Every path
 from outside is replayed, and every derived path is replayed under test:
 ``Path.from_moves``, ``Path(base, steps)`` and ``parse_path`` replay, and
 ``Path._derived`` stores moves known to apply, its callers naming the
 lemma.  ``Path.walk`` replays the moves for consumers of each source word;
-``Path.steps`` builds ``RewriteStep`` values only when asked, for the repr.
+``Path.steps`` builds ``RewriteStep`` values afresh on each read and is
+kept for callers that want whole words.  The repr shows the moves.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import FuelError, MatchError, NotConvergentError
+from .errors import FuelError, MatchError
 from .presentation import (
     IndexAutomaton,
     OrderSpec,
@@ -64,23 +64,26 @@ Move = tuple[Rule, int, int]
 """A signed, positioned rule application without its word: (rule, pos, sign)."""
 
 
-def _bad_move(word: Sequence[str], rule: Rule, pos: int, sign: int) -> Exception:
-    """The error for a move ``(rule, pos, sign)`` that does not apply to
-    ``word``.
+def _apply(word: list[str], rule: Rule, pos: int, sign: int) -> None:
+    """Apply the move ``(rule, pos, sign)`` to ``word`` in place.
 
     A move applies when its sign is +1 or -1 and the factor it replaces (the
-    lhs for +1, the rhs for -1) occurs at ``pos``.  ``RewriteStep`` and
-    ``Path.from_moves`` check this inline, once per move, and raise what this
-    returns when the check fails.
+    lhs for +1, the rhs for -1) occurs at ``pos``; otherwise this raises
+    ValueError for the sign, MatchError for the rest.  ``RewriteStep`` and
+    ``Path.from_moves`` check every move here.
     """
     if sign not in (1, -1):
-        return ValueError("sign must be +1 or -1")
+        raise ValueError("sign must be +1 or -1")
+    factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
+    end = pos + len(factor)
     if pos < 0:
-        return MatchError(f"negative position {pos}")
-    return MatchError(
-        f"{'lhs' if sign > 0 else 'rhs'} of rule {rule.rule_id} does not occur at "
-        f"position {pos} of {''.join(word) or 'ε'!r}"
-    )
+        raise MatchError(f"negative position {pos}")
+    if pos > len(word) or tuple(word[pos:end]) != factor:
+        raise MatchError(
+            f"{'lhs' if sign > 0 else 'rhs'} of rule {rule.rule_id} does not occur at "
+            f"position {pos} of {''.join(word) or 'ε'!r}"
+        )
+    word[pos:end] = replacement
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,12 +103,9 @@ class RewriteStep:
     target: Word = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        source, rule, pos, sign = self.source, self.rule, self.pos, self.sign
-        factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
-        end = pos + len(factor)
-        if sign not in (1, -1) or not 0 <= pos <= len(source) or source[pos:end] != factor:
-            raise _bad_move(source, rule, pos, sign)
-        object.__setattr__(self, "target", source[:pos] + replacement + source[end:])
+        word = list(self.source)
+        _apply(word, self.rule, self.pos, self.sign)
+        object.__setattr__(self, "target", tuple(word))
 
     @property
     def matched(self) -> Word:
@@ -121,23 +121,21 @@ def apply_step(step: RewriteStep) -> Word:
     return step.target
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Path:
     """A base word and the moves ``(rule, pos, sign)`` applied from it.
 
     Every path from outside is replayed (``Path.from_moves``, and
     ``Path(base, steps)``, which checks that each ``RewriteStep`` starts
     where the previous one ended); every derived path is replayed under
-    test.  The target takes no part in equality, hashing or the repr.
-    Equality and the hash are those of ``(base, moves)``, the repr that of
-    ``(base, steps)``.  The empty path at a word is the identity.  See the
-    track module for the algebra on paths.
+    test.  The target takes no part in equality, hashing or the repr, which
+    are those of ``(base, moves)``.  The empty path at a word is the
+    identity.  See the track module for the algebra on paths.
     """
 
     base: Word
     moves: tuple[Move, ...]
     target: Word = field(init=False, repr=False, compare=False)
-    _steps: tuple[RewriteStep, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, base: Word, steps: Iterable[RewriteStep] = ()):
         current = base
@@ -153,7 +151,6 @@ class Path:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "moves", tuple(moves))
         object.__setattr__(self, "target", current)
-        object.__setattr__(self, "_steps", None)
 
     @classmethod
     def from_moves(cls, base: Word, moves: Iterable[Move]) -> Path:
@@ -162,45 +159,26 @@ class Path:
         word = list(base)
         checked: list[Move] = []
         for move in moves:
-            rule, pos, sign = move
-            factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
-            end = pos + len(factor)
-            if sign not in (1, -1) or not 0 <= pos <= len(word) or tuple(word[pos:end]) != factor:
-                raise _bad_move(word, rule, pos, sign)
-            word[pos:end] = replacement
+            _apply(word, *move)
             checked.append(move)
-        path = cls.__new__(cls)
-        object.__setattr__(path, "base", base)
-        object.__setattr__(path, "moves", tuple(checked))
-        object.__setattr__(path, "target", tuple(word))
-        object.__setattr__(path, "_steps", None)
-        return path
+        return _stored(base, tuple(checked), tuple(word))
 
     @classmethod
     def _derived(cls, base: Word, moves: Iterable[Move], target: Word) -> Path:
         """The path along ``moves``, known to apply from ``base`` to ``target``; no replay."""
-        path = cls.__new__(cls)
-        object.__setattr__(path, "base", base)
-        object.__setattr__(path, "moves", tuple(moves))
-        object.__setattr__(path, "target", target)
-        object.__setattr__(path, "_steps", None)
-        return path
+        return _stored(base, tuple(moves), target)
 
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
         """The moves as ``RewriteStep``s, each starting at the previous
-        one's target.  Built on the first access and then kept, so that
-        reads of one path share their words; in the library only the repr
-        reads them, so the paths it builds and caches hold no word per
-        step."""
-        if self._steps is None:
-            steps: list[RewriteStep] = []
-            current = self.base
-            for move in self.moves:
-                steps.append(RewriteStep(current, *move))
-                current = steps[-1].target
-            object.__setattr__(self, "_steps", tuple(steps))
-        return self._steps
+        one's target, built afresh on each read: the library reads moves
+        only, so the paths it builds and caches hold no word per step."""
+        steps: list[RewriteStep] = []
+        current = self.base
+        for move in self.moves:
+            steps.append(RewriteStep(current, *move))
+            current = steps[-1].target
+        return tuple(steps)
 
     def walk(self) -> Iterator[tuple[Word, Rule, int, int]]:
         """Each move as ``(source, rule, pos, sign)``, with the word it
@@ -221,11 +199,15 @@ class Path:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def __hash__(self) -> int:
-        return hash((self.base, self.moves))
 
-    def __repr__(self) -> str:
-        return f"Path(base={self.base!r}, steps={self.steps!r})"
+def _stored(base: Word, moves: tuple[Move, ...], target: Word) -> Path:
+    """The path with these fields, stored as given: where ``from_moves`` and
+    ``_derived`` end."""
+    path = Path.__new__(Path)
+    object.__setattr__(path, "base", base)
+    object.__setattr__(path, "moves", moves)
+    object.__setattr__(path, "target", target)
+    return path
 
 
 def _scan(
@@ -375,18 +357,10 @@ def check_termination(p: Presentation) -> TerminationCertificate:
     return TerminationCertificate(p.order, report.offending)
 
 
-def words_equal(u: Word, v: Word, p: Presentation, cert=None) -> bool:
-    """Decide equality in the presented monoid via normal forms.
+def words_equal(u: Word, v: Word, p: Presentation) -> bool:
+    """Decide equality in the presented monoid via normal forms; raises
+    NotConvergentError unless ``p`` is certified convergent."""
+    from .critical import _require_convergent
 
-    Requires a convergence certificate (computed and cached if not
-    supplied); raises NotConvergentError otherwise.
-    """
-    if cert is None:
-        from .critical import is_convergent
-
-        cert = is_convergent(p)
-    if not cert.ok:
-        raise NotConvergentError(
-            "word problem needs a convergent presentation; run completion first"
-        )
+    _require_convergent(p)
     return normal_form(p, u) == normal_form(p, v)

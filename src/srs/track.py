@@ -15,7 +15,7 @@ from collections.abc import Iterable
 
 from .errors import BoundaryError, DisjointnessError, ParseError
 from .presentation import Presentation, Rule, Word, format_word, parse_word
-from .rewrite import Move, Path, RewriteStep
+from .rewrite import Move, Path
 
 _STEP_RE = re.compile(r"([+-])([A-Za-z0-9_]+)@(\d+)\Z")
 
@@ -121,10 +121,6 @@ def conjugate(f: Path, g: Path) -> Path:
 
 def _format_move(rule: Rule, pos: int, sign: int) -> str:
     return f"{'+' if sign > 0 else '-'}{rule.rule_id}@{pos}"
-
-
-def format_step(step: RewriteStep) -> str:
-    return _format_move(step.rule, step.pos, step.sign)
 
 
 def format_path(p: Path, pres: Presentation) -> str:

@@ -69,11 +69,14 @@ def parse_translation_map(
         if head == "forward":
             if name not in sigma.generator_index:
                 raise ParseError(f"unknown source generator {name!r}", lineno)
-            forward[name] = parse_word(image_text, upsilon)
+            entries, image = forward, parse_word(image_text, upsilon)
         else:
             if name not in upsilon.generator_index:
                 raise ParseError(f"unknown target generator {name!r}", lineno)
-            backward[name] = parse_word(image_text, sigma)
+            entries, image = backward, parse_word(image_text, sigma)
+        if name in entries:
+            raise ParseError(f"duplicate {head} entry for {name!r}", lineno)
+        entries[name] = image
     missing = [g for g in sigma.generators if g not in forward]
     missing += [g for g in upsilon.generators if g not in backward]
     if missing:
@@ -99,25 +102,19 @@ def check_translation(
     for p, name in ((sigma, "source"), (upsilon, "target")):
         if not is_convergent(p).ok:
             raise TranslationError(f"{name} presentation is not convergent")
+    fwd, bwd = m.forward_map, m.backward_map
+    directions = ((sigma, upsilon, fwd, bwd), (upsilon, sigma, bwd, fwd))
     failures: list[str] = []
-    for rule in sigma.rules:
-        lhs = translate_word(rule.lhs, m.forward_map)
-        rhs = translate_word(rule.rhs, m.forward_map)
-        if normal_form(upsilon, lhs) != normal_form(upsilon, rhs):
-            failures.append(f"rule {rule.rule_id}: translated sides differ")
-    for rule in upsilon.rules:
-        lhs = translate_word(rule.lhs, m.backward_map)
-        rhs = translate_word(rule.rhs, m.backward_map)
-        if normal_form(sigma, lhs) != normal_form(sigma, rhs):
-            failures.append(f"rule {rule.rule_id}: translated sides differ")
-    for g in sigma.generators:
-        back = translate_word(translate_word((g,), m.forward_map), m.backward_map)
-        if normal_form(sigma, back) != normal_form(sigma, (g,)):
-            failures.append(f"generator {g}: round trip is not the identity")
-    for g in upsilon.generators:
-        forth = translate_word(translate_word((g,), m.backward_map), m.forward_map)
-        if normal_form(upsilon, forth) != normal_form(upsilon, (g,)):
-            failures.append(f"generator {g}: round trip is not the identity")
+    for src, dst, there, _ in directions:
+        for rule in src.rules:
+            lhs, rhs = translate_word(rule.lhs, there), translate_word(rule.rhs, there)
+            if normal_form(dst, lhs) != normal_form(dst, rhs):
+                failures.append(f"rule {rule.rule_id}: translated sides differ")
+    for src, _, there, back in directions:
+        for g in src.generators:
+            round_trip = translate_word(translate_word((g,), there), back)
+            if normal_form(src, round_trip) != normal_form(src, (g,)):
+                failures.append(f"generator {g}: round trip is not the identity")
     return TranslationReport(tuple(failures))
 
 

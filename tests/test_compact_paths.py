@@ -186,11 +186,10 @@ def test_parse_path_reports_the_first_fault_in_the_text():
         parse_path("aa: +zz@0 +r@5", p)
 
 
-def test_steps_are_built_on_first_read_and_kept():
+def test_steps_chain_their_words_within_one_read():
     _, path = normalize(w("aaaa"), as_presentation())
-    assert path._steps is None
-    assert path.steps is path.steps
-    for before, after in zip(path.steps, path.steps[1:]):
+    steps = path.steps
+    for before, after in zip(steps, steps[1:]):
         assert after.source is before.target
 
 
@@ -220,13 +219,14 @@ def test_a_stored_path_holds_under_a_megabyte():
     assert held - before < 1e6, f"the (ba)^100 path holds {(held - before) / 1e6:.2f} MB"
 
 
-def test_library_code_reads_no_steps():
-    """Nothing in the library materializes steps: a loop put through peak
-    elimination, certificate replay, footprints and transport keeps none."""
+def test_library_code_reads_no_steps(monkeypatch):
+    """Nothing in the library materializes steps: peak elimination,
+    certificate replay, footprints and transport never read them."""
     p = parse_presentation(SORTING_TEXT)
     rng = random.Random(7)
     loop = random_loop(rng, p, tuple(bl.loop for bl in basis_loops(p)), max_len=8)
     loop = Path.from_moves(loop.base, loop.moves)
+    monkeypatch.setattr(Path, "steps", property(lambda path: pytest.fail("steps were read")))
     cert = decompose_loop(loop, p)
     assert verify_certificate(loop, cert, p).ok
     footprint(loop, p)
@@ -234,4 +234,3 @@ def test_library_code_reads_no_steps():
         "".join(f"forward: {g} -> {g}\nbackward: {g} -> {g}\n" for g in p.generators), p, p
     )
     assert comparison_loop(loop, identity, p, p).is_closed
-    assert loop._steps is None

@@ -244,26 +244,26 @@ def test_target_takes_no_part_in_equality_hash_or_repr():
     object.__setattr__(other, "target", w("x"))
     assert path == other and hash(path) == hash(other)
     assert hash(path) == hash((path.base, path.moves))
-    assert repr(path) == f"Path(base=('a', 'a', 'a'), steps=({step!r},))"
+    assert repr(path) == f"Path(base=('a', 'a', 'a'), moves=(({p.rules[0]!r}, 1, 1),))"
     for cls in (RewriteStep, Path):
         (target,) = [f for f in dataclasses.fields(cls) if f.name == "target"]
         assert not (target.init or target.repr or target.compare)
     assert not hasattr(step, "__dict__") and not hasattr(path, "__dict__")
 
 
-def test_hashing_a_long_path_builds_no_steps():
+def test_hashing_a_long_path_builds_no_steps(monkeypatch):
     p = as_presentation()
     path = Path.from_moves(w("a" * 10001), [(p.rules[0], 0, 1)] * 10**4)
     twin = Path.from_moves(w("a" * 10001), list(path.moves))
+    monkeypatch.setattr(Path, "steps", property(lambda path: pytest.fail("steps were read")))
     assert hash(path) == hash(twin) and path == twin
-    assert path._steps is None and twin._steps is None
 
 
 def test_whiskered_steps_share_their_joint_words():
     p = as_presentation()
     _, path = normalize(w("aaaa"), p)
-    whiskered = whisker(w("b"), path, w("b"))
-    for before, after in zip(whiskered.steps, whiskered.steps[1:]):
+    steps = whisker(w("b"), path, w("b")).steps
+    for before, after in zip(steps, steps[1:]):
         assert after.source is before.target
 
 

@@ -131,6 +131,40 @@ def certificate_digest(cert):
     return h.hexdigest()
 
 
+@pytest.mark.parametrize("order", [("r1", "r2"), ("r2", "r1")])
+def test_rules_with_one_lhs_decompose_from_either_rule(order):
+    """Two rules with one left-hand side meet at offset 0 in both orders;
+    each is looked up from the other as the first step of a word."""
+    sides = {"r1": "b a -> a", "r2": "b a -> a a"}
+    p = parse_presentation(
+        "generators: a b\norder: shortlex a < b\nrules:\n"
+        + "".join(f" {rule_id}: {sides[rule_id]}\n" for rule_id in order)
+        + " r3: a a -> a\n"
+    )
+    nonzero = 0
+    for word, pos in (("ba", 0), ("bba", 1), ("baba", 2), ("abaa", 1)):
+        for rule_id in order:
+            step = RewriteStep(tuple(word), p.rule_by_id[rule_id], pos, 1)
+            pi = decompose_step(step, p)
+            assert pi == decompose_step_oracle(step, p)
+            nonzero += bool(pi)
+    assert nonzero >= 4
+
+
+def test_a_branching_met_from_its_second_redex_takes_the_other_orientation():
+    """``b`` is a proper prefix of ``b b a`` and has the lower rule index, so
+    it is the first step where the two start together, while the branching
+    lists ``b b a``'s redex first: the lookup takes the sign and the
+    completions in the other order."""
+    p = parse_presentation(
+        "generators: a b\norder: shortlex a < b\nrules:\n r0: b a -> a\n r1: b ->\n r2: b b a -> a b\n"
+    )
+    for word in ("bba", "bbbaa", "abbab", "bbabba"):
+        for redex in find_redexes(tuple(word), p):
+            step = RewriteStep(tuple(word), redex.rule, redex.pos, 1)
+            assert decompose_step(step, p) == decompose_step_oracle(step, p)
+
+
 def test_the_816_step_zigzag_certificate_is_pinned():
     """The certificate of the (cba)^16 zigzag under the sorting system, as
     the recursive peak elimination gave it: entries, conjugators and

@@ -64,6 +64,21 @@ def test_parse_empty_lhs_rejected():
         parse_presentation("generators: a\norder: shortlex a\nrules:\n r: -> a")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (" r-1: a a -> a", "bad rule id 'r-1'"),
+        (" r: -> a", "rule r: empty left-hand side"),
+        (" r: a -> a", "rule r: sides are equal"),
+    ],
+)
+def test_a_rule_that_rule_rejects_is_reported_at_its_line(line, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_presentation(f"generators: a\norder: shortlex a\nrules:\n s: a a a -> a\n{line}\n")
+    assert excinfo.value.line == 5
+    assert str(excinfo.value) == f"line 5, col 1: {message}"
+
+
 def test_parse_empty_rhs_allowed():
     p = parse_presentation("generators: e\norder: shortlex e\nrules:\n u: e ->")
     assert p.rules[0].rhs == ()

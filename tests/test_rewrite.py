@@ -113,7 +113,7 @@ def test_words_equal_examples():
 
 def test_words_equal_requires_convergence():
     p = two_rule_presentation()
-    with pytest.raises(NotConvergentError):
+    with pytest.raises(NotConvergentError, match=r"^presentation is not convergent; run 'complete' first$"):
         words_equal(w("ab"), w("a"), p)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from srs import (
+    ParseError,
     Path,
     RewriteStep,
     TranslationError,
@@ -74,6 +75,16 @@ def test_check_translation_degenerate_map_fails_round_trip():
 def test_map_must_cover_all_generators():
     with pytest.raises(TranslationError, match="cover"):
         parse_translation_map("forward: a -> b\nbackward: b -> a\n", as_presentation(), upsilon())
+
+
+@pytest.mark.parametrize("head, name", [("forward", "a"), ("backward", "b")])
+def test_a_duplicate_map_entry_is_a_parse_error(head, name):
+    text = f"forward: a -> b\nbackward: b -> a\n{head}: {name} -> {'b' if head == 'forward' else 'a'}\n"
+    tau = parse_presentation("generators: b\norder: shortlex b\nrules:\n s: b b -> b")
+    with pytest.raises(ParseError) as info:
+        parse_translation_map(text, as_presentation(), tau)
+    assert info.value.line == 3
+    assert str(info.value) == f"line 3, col 1: duplicate {head} entry for '{name}'"
 
 
 def test_translation_map_round_trip_format():
