@@ -31,9 +31,9 @@ from .rewrite import (
     DEFAULT_FUEL,
     Path,
     RewriteStep,
+    _reduce,
     first_redex,
     normal_form,
-    normal_path,
 )
 from .critical import _require_convergent, critical_branchings, generating_confluence
 
@@ -187,7 +187,13 @@ def _peak_entries(
 
     In the disjoint case b's residual B is the first step of its source,
     and so has no entries, whenever b starts ``maxlhs`` or more positions
-    left of the step: that frame is not visited.
+    left of the step: that frame is not visited, and the frame's one child,
+    the same step after b, has the frame's entries.  The first visit
+    follows such far-disjoint frames as one chain, each link an expanded
+    frame with its own scan, up to the first link that is not far disjoint
+    or is already in the memo; the entries of that link are stored under
+    every key of the chain.  The frames expanded, the scans and the point
+    where fuel runs out are those of visiting each link as a frame.
 
     Each child carries a position no redex of its source starts before, so
     the scan for its b begins there.  A child's source keeps the prefix of
@@ -203,8 +209,9 @@ def _peak_entries(
     window = p.index_automaton.depth - 1
     memo: dict[tuple[Word, str, int], tuple[_RawEntry, ...]] = {}
     expanded = 0
-    # a frame is (memo key, rule, start hint, join); join is None on the
-    # first visit and (head entries, child keys, positive children) after it
+    # a frame is (memo key, rule, start hint, None) on its first visit and
+    # (chain keys, rule, start hint, join) on its second, where join is
+    # (head entries, child keys, positive children)
     stack: list = [
         ((source, rule.rule_id, pos), rule, 0, None) for source, rule, pos in reversed(steps)
     ]
@@ -217,36 +224,48 @@ def _peak_entries(
                 entries.extend(memo[kid])
             for kid in reversed(kids[split:]):
                 entries.extend(_negate_entries(memo[kid]))
-            memo[key] = tuple(entries)
+            memo.update(dict.fromkeys(key, tuple(entries)))
             continue
-        if key in memo:
-            continue
-        expanded += 1
-        if expanded > fuel:
-            raise FuelError(f"peak elimination did not finish within {fuel} frames")
-
-        source, rule_id, pos = key
-        first = first_redex(source, p, start)
-        b_rule, b_pos = first.rule, first.pos
-        if b_pos == pos and b_rule.rule_id == rule_id:
-            memo[key] = ()
-            continue
-
-        m_b, m_s = len(b_rule.lhs), len(rule.lhs)
-        if b_pos + m_b <= pos:
-            # disjoint: compare via the two residual steps across the square
-            head: tuple[_RawEntry, ...] = ()
+        chain = []
+        while key not in memo:
+            expanded += 1
+            if expanded > fuel:
+                raise FuelError(f"peak elimination did not finish within {fuel} frames")
+            chain.append(key)
+            source, rule_id, pos = key
+            first = first_redex(source, p, start)
+            b_rule, b_pos = first.rule, first.pos
+            m_b = len(b_rule.lhs)
+            if b_pos + m_b > pos:  # b is the step, or overlaps it
+                break
+            # disjoint: the same step after b is a child
             target_b = source[:b_pos] + b_rule.rhs + source[b_pos + m_b :]
-            shifted = pos + len(b_rule.rhs) - m_b
-            children = [((target_b, rule_id, shifted), rule, max(0, b_pos - window), None)]
-            split = 1
-            # b stays the first step after the given one unless a redex that
-            # starts at or before b_pos reaches past pos, which needs more
-            # than pos - b_pos letters
+            after_b = (target_b, rule_id, pos + len(b_rule.rhs) - m_b)
             if pos - b_pos <= window:
-                target_s = source[:pos] + rule.rhs + source[pos + m_s :]
-                hint = min(b_pos, max(0, pos - window))
-                children.append(((target_s, b_rule.rule_id, b_pos), b_rule, hint, None))
+                break
+            # far disjoint: it is the only child
+            key, start = after_b, max(0, b_pos - window)
+        else:
+            # the chain meets a memoized step (an empty chain: the frame's own)
+            memo.update(dict.fromkeys(chain, memo[key]))
+            continue
+
+        if b_pos == pos and b_rule.rule_id == rule_id:
+            memo.update(dict.fromkeys(chain, ()))
+            continue
+
+        m_s = len(rule.lhs)
+        if b_pos + m_b <= pos:
+            # near disjoint, pos - b_pos < maxlhs: a redex starting at or before
+            # b_pos can reach past the given step, so b may not stay first after
+            # it; compare via the two residual steps across the square
+            head: tuple[_RawEntry, ...] = ()
+            target_s = source[:pos] + rule.rhs + source[pos + m_s :]
+            children = [
+                (after_b, rule, max(0, b_pos - window), None),
+                ((target_s, b_rule.rule_id, b_pos), b_rule, min(b_pos, max(0, pos - window)), None),
+            ]
+            split = 1
         else:
             # overlapping: the minimal overlap is a critical branching
             ov_end = max(b_pos + m_b, pos + m_s)
@@ -263,7 +282,7 @@ def _peak_entries(
                 for word, step_rule, q, _ in path.walk()
             ]
             split = len(completion_b)
-        stack.append((key, rule, start, (head, [child[0] for child in children], split)))
+        stack.append((chain, rule, start, (head, [child[0] for child in children], split)))
         stack.extend(reversed(children))
     return [memo[(source, rule.rule_id, pos)] for source, rule, pos in steps]
 
@@ -335,7 +354,7 @@ def decompose_loop(
     raw: list[_RawEntry] = []
     for (_, _, sign), entries in zip(f.moves, _peak_entries(steps, p, _basis(p), fuel)):
         raw.extend(entries if sign > 0 else _negate_entries(entries))
-    head = normal_path(p, f.base).moves
+    head = _reduce(f.base, p)[1]
     conjugators: dict[Word, Path] = {}
 
     def conjugator(base: Word) -> Path:
@@ -344,11 +363,11 @@ def decompose_loop(
         # word, as a positive move determines its source from its target
         path = conjugators.get(base)
         if path is None:
-            tail = normal_path(p, base).moves
+            tail = _reduce(base, p)[1]
             k = 0
             while k < min(len(head), len(tail)) and head[-1 - k] == tail[-1 - k]:
                 k += 1
-            back = tuple((rule, pos, -sign) for rule, pos, sign in reversed(tail[: len(tail) - k]))
+            back = [(rule, pos, -sign) for rule, pos, sign in reversed(tail[: len(tail) - k])]
             path = conjugators[base] = Path._derived(f.base, head[: len(head) - k] + back, base)
         return path
 

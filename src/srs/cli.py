@@ -195,7 +195,7 @@ def _cmd_critical_pairs(args) -> tuple[int, dict]:
             "kind": b.kind,
         }
         try:
-            conf = critical.generating_confluence(b, p)
+            conf = critical.generating_confluence(b, p, args.fuel)
             entry["joinable"] = True
             entry["loop"] = track.format_path(conf.loop, p)
         except NotJoinableError as exc:
@@ -393,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("critical-pairs", help="critical branchings and their loops")
     sp.add_argument("presentation")
     sp.add_argument("--assume-terminating", action="store_true")
-    common(sp, _cmd_critical_pairs, _text_critical_pairs)
+    common(sp, _cmd_critical_pairs, _text_critical_pairs, fuel_default=rewrite.DEFAULT_FUEL)
 
     sp = sub.add_parser("complete", help="Knuth-Bendix completion")
     sp.add_argument("presentation")

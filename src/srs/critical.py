@@ -24,7 +24,7 @@ from .rewrite import (
     check_termination,
     find_redexes,
     normal_form,
-    normal_path,
+    normalize,
 )
 from .track import _free_reduced
 
@@ -134,16 +134,19 @@ class GeneratingConfluence:
     loop: Path
 
 
-def generating_confluence(b: CriticalBranching, p: Presentation) -> GeneratingConfluence:
-    """Complete both branches with the canonical strategy.
+def generating_confluence(
+    b: CriticalBranching, p: Presentation, fuel: int = DEFAULT_FUEL
+) -> GeneratingConfluence:
+    """Complete both branches with the canonical strategy, each within
+    ``fuel`` steps (FuelError past that).
 
     Raises NotJoinableError when the branches reach distinct normal forms,
     which is precisely a local-confluence counterexample.
     """
     step1 = Path.from_moves(b.overlap, [(b.rule1, 0, 1)])
     step2 = Path.from_moves(b.overlap, [(b.rule2, b.offset, 1)])
-    completion1 = normal_path(p, step1.target)
-    completion2 = normal_path(p, step2.target)
+    completion1 = normalize(step1.target, p, fuel)[1]
+    completion2 = normalize(step2.target, p, fuel)[1]
     if completion1.target != completion2.target:
         raise NotJoinableError(b, completion1.target, completion2.target)
     back = [(rule, pos, -sign) for rule, pos, sign in reversed(step2.moves + completion2.moves)]

@@ -156,8 +156,9 @@ class Presentation:
         return hash((self.generators, self.rules, self.order))
 
     def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a pickle leaves it out
-        return {name: value for name, value in vars(self).items() if name != "_hash"}
+        # string hashes differ between processes, and the normal forms are a
+        # cache, so a pickle leaves out the private fields, _hash and _normal_forms
+        return {name: value for name, value in vars(self).items() if name[0] != "_"}
 
     @cached_property
     def generator_index(self) -> dict[str, int]:
@@ -213,6 +214,12 @@ class Presentation:
             tuple(out),
             max(length),
         )
+
+    @cached_property
+    def _normal_forms(self) -> dict[Word, Word]:
+        # word -> normal form (default fuel), filled by ``rewrite.normal_form``;
+        # a word holds only strings, so the collector does not track it
+        return {}
 
     @cached_property
     def single_letter_names(self) -> bool:

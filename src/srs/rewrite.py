@@ -26,6 +26,11 @@ from outside is replayed, and every derived path is replayed under test:
 lemma.  ``Path.walk`` replays the moves for consumers of each source word;
 ``Path.steps`` builds ``RewriteStep`` values afresh on each read and is
 kept for callers that want whole words.  The repr shows the moves.
+
+Paths are built only where their moves are read.  ``normal_form`` reads
+and fills the presentation's table of words (``_normal_forms``) and builds
+no path.  ``normal_path`` caches whole paths; of the library only the rule
+images of ``transport`` read it.
 """
 
 from __future__ import annotations
@@ -331,7 +336,13 @@ def normal_path(p: Presentation, w: Word) -> Path:
 
 
 def normal_form(p: Presentation, w: Word) -> Word:
-    return normal_path(p, w).target
+    """The normal form of ``w`` (default fuel), kept in the presentation's
+    table of words; no path is built."""
+    table = p._normal_forms
+    nf = table.get(w)
+    if nf is None:
+        nf = table[w] = _reduce(w, p)[0]
+    return nf
 
 
 @dataclass(frozen=True)

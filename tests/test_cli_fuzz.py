@@ -3,9 +3,9 @@ process: every run ends with status 0, 1 or 2, no traceback reaches
 stderr, and status 2 comes with an ``srs:`` diagnostic or, for a usage
 error, argparse's ``usage:`` line.
 
-The commands that take ``--fuel`` always get a small one, and
-``critical-pairs`` never gets ``--assume-terminating``: a non-terminating
-system then has no bound but the default fuel of a million steps, which is
+The commands that take ``--fuel`` always get a small one, so that
+``normalize`` and ``critical-pairs`` with ``--assume-terminating`` on a
+non-terminating system stop there: the default fuel of a million steps is
 slow, not wrong.
 """
 
@@ -74,15 +74,17 @@ paths = st.builds(lambda base, steps: f"{base}: {steps}", words, moves)
 FILES = ["sigma.pres", "upsilon.pres", "map.txt", "missing.pres"]
 files = st.sampled_from(FILES)
 small_fuel = st.integers(-1, 12).map(lambda n: ["--fuel", str(n)])
+fuel_and_assumption = st.tuples(small_fuel, st.sampled_from([[], ["--assume-terminating"]])).map(
+    lambda t: t[0] + t[1]
+)
 formats = st.sampled_from([[], ["--format", "json"], ["--format", "text"]])
 
 commands = st.one_of(
     st.tuples(st.just(["check"]), files.map(lambda f: [f]),
               st.one_of(st.just([]), st.integers(-2, 6).map(lambda n: ["--max-len", str(n)]))),
-    st.tuples(st.just(["normalize"]), st.tuples(files, words).map(list),
-              st.tuples(small_fuel, st.sampled_from([[], ["--assume-terminating"]])).map(lambda t: t[0] + t[1])),
+    st.tuples(st.just(["normalize"]), st.tuples(files, words).map(list), fuel_and_assumption),
     st.tuples(st.just(["equal"]), st.tuples(files, words, words).map(list), st.just([])),
-    st.tuples(st.just(["critical-pairs"]), files.map(lambda f: [f]), st.just([])),
+    st.tuples(st.just(["critical-pairs"]), files.map(lambda f: [f]), fuel_and_assumption),
     st.tuples(st.just(["complete"]), files.map(lambda f: [f]), small_fuel),
     st.tuples(st.just(["pi-basis"]), files.map(lambda f: [f]), st.just([])),
     st.tuples(st.sampled_from([["decompose"], ["footprint"]]), st.tuples(files, paths).map(list), st.just([])),

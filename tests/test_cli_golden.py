@@ -39,6 +39,9 @@ CASES = {
     "equal_not_convergent": ["equal", "two.pres", "a", "b"],
     "critical_pairs_joinable": ["critical-pairs", "as.pres"],
     "critical_pairs_not_joinable": ["critical-pairs", "two.pres"],
+    "critical_pairs_out_of_fuel": [
+        "critical-pairs", "grow_two.pres", "--assume-terminating", "--fuel", "5"
+    ],
     "complete_add": ["complete", "two.pres"],
     "complete_simplify": ["complete", "simplify.pres"],
     "complete_remove": ["complete", "remove.pres"],

@@ -24,6 +24,7 @@ from srs import (
     free_reduce,
     invert,
     knuth_bendix,
+    normal_form,
     normal_path,
     normalize,
     parse_path,
@@ -31,7 +32,7 @@ from srs import (
     parse_translation_map,
     verify_certificate,
 )
-from srs import abelian
+from srs import abelian, rewrite
 from helpers import (
     alt_normal_path,
     as_presentation,
@@ -217,6 +218,26 @@ def test_a_stored_path_holds_under_a_megabyte():
         tracemalloc.stop()
     assert len(path) == 5050
     assert held - before < 1e6, f"the (ba)^100 path holds {(held - before) / 1e6:.2f} MB"
+
+
+def test_loops_keep_no_normal_paths(monkeypatch):
+    """Footprints, certificate replay and decomposition read normal forms
+    from the presentation's table of words and take conjugators from
+    reductions of their own: none adds to the ``normal_path`` cache, and
+    ``normal_form`` builds no path."""
+    p = parse_presentation(SORTING_TEXT)
+    loop = random_loop(random.Random(11), p, tuple(bl.loop for bl in basis_loops(p)), max_len=8)
+    cached = rewrite.normal_path.cache_info().currsize
+    cert = decompose_loop(loop, p)
+    assert verify_certificate(loop, cert, p).ok
+    footprint(loop, p)
+    assert rewrite.normal_path.cache_info().currsize == cached
+    fresh = parse_presentation(SORTING_TEXT)
+    words = [source for source, *_ in loop.walk()]
+    forms = [normalize(word, fresh)[0] for word in words]
+    monkeypatch.setattr(rewrite, "_stored", lambda *fields: pytest.fail("a path was built"))
+    assert [normal_form(fresh, word) for word in words] == forms
+    assert all(fresh._normal_forms[word] == form for word, form in zip(words, forms))
 
 
 def test_library_code_reads_no_steps(monkeypatch):

@@ -1,7 +1,8 @@
 """Peak elimination on one explicit work stack: certificates (conjugators
 included), elements and step classes equal those of the recursive oracle,
 loops longer than the interpreter's recursion limit decompose, and the
-frames expanded are bounded by fuel."""
+frames expanded are bounded by fuel and pinned, chains of far-disjoint
+frames included."""
 
 import hashlib
 import random
@@ -165,10 +166,26 @@ def test_a_branching_met_from_its_second_redex_takes_the_other_orientation():
             assert decompose_step(step, p) == decompose_step_oracle(step, p)
 
 
-def test_the_816_step_zigzag_certificate_is_pinned():
+@pytest.fixture
+def scans(monkeypatch):
+    """The start hints of the scans peak elimination makes, one per frame
+    it expands."""
+    original = abelian.first_redex
+    starts = []
+
+    def counting(word, q, start=0):
+        starts.append(start)
+        return original(word, q, start)
+
+    monkeypatch.setattr(abelian, "first_redex", counting)
+    return starts
+
+
+def test_the_816_step_zigzag_certificate_is_pinned(scans):
     """The certificate of the (cba)^16 zigzag under the sorting system, as
     the recursive peak elimination gave it: entries, conjugators and
-    element."""
+    element; and the frames expanded, as each far-disjoint frame was
+    expanded on its own."""
     p = sorting_presentation()
     loop = zigzag(p, tuple("cba" * 16))
     assert len(loop) == 816
@@ -177,15 +194,34 @@ def test_the_816_step_zigzag_certificate_is_pinned():
     assert certificate_digest(cert) == (
         "2fd4749b59292493a740c61330cf05412cfa74d8c183fea9588944d5a2744b3a"
     )
+    assert len(scans) == 67_015
 
 
-@pytest.mark.parametrize("moves", [((950, 1), (950, -1)), ((998, 1), (0, -1))])
-def test_a_1000_letter_loop_decomposes(moves):
+# the moves of two loops at a^1000, and the frames their decomposition expands
+LONG_LOOPS = {((950, 1), (950, -1)): 951, ((998, 1), (0, -1)): 1_000}
+
+
+@pytest.mark.parametrize("moves", list(LONG_LOOPS))
+def test_a_1000_letter_loop_decomposes(moves, scans):
     p = as_presentation()
     r = p.rule_by_id["r"]
     loop = Path.from_moves(("a",) * 1000, [(r, pos, sign) for pos, sign in moves])
     cert = decompose_loop(loop, p)
+    assert len(scans) == LONG_LOOPS[moves]
     assert verify_certificate(loop, cert, p).ok
+
+
+def test_a_chain_of_far_disjoint_frames_meets_a_memoized_step():
+    """The last step, ``r`` at 12 in ``a^20``, starts a chain whose second
+    link, ``r`` at 11 in ``a^19``, is the first step, memoized by then with
+    entries: the chain takes them."""
+    p = as_presentation()
+    r = p.rule_by_id["r"]
+    moves = [(r, 11, 1), (r, 11, -1), (r, 5, -1), (r, 12, 1)]
+    loop = Path.from_moves(("a",) * 19, moves)
+    check_against_oracle(loop, p)
+    step = RewriteStep(("a",) * 19, r, 11, 1)
+    assert decompose_step(step, p) == decompose_step_oracle(step, p) != {}
 
 
 def test_fuel_counts_expanded_frames():

@@ -1,10 +1,12 @@
 """Properties over random inputs: the file format round-trips on random
-presentations, ``normalize`` is idempotent and reaches the only normal
-form on completed systems, and every random loop decomposes into a
+presentations, ``normal_form`` agrees with ``normalize``, ``normalize`` is
+idempotent and reaches the only normal form on completed systems, and every random loop decomposes into a
 certificate that replays."""
 
 import random
+import re
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +18,11 @@ from srs import (
     basis_loops,
     decompose_loop,
     knuth_bendix,
+    normal_form,
     normalize,
     parse_presentation,
     print_presentation,
+    rewrite,
     verify_certificate,
 )
 from helpers import (
@@ -71,6 +75,35 @@ def test_a_rule_may_be_named_like_a_section():
     for rule_id in ("generators", "order", "rules"):
         p = Presentation(("a",), (Rule(rule_id, ("a", "a"), ("a",)),), OrderSpec("shortlex", ("a",)))
         assert parse_presentation(print_presentation(p)) == p
+
+
+# a cap on every reduction, so that the non-terminating systems among the
+# arbitrary ones run out of fuel quickly
+SMALL_FUEL = 30
+
+arbitrary_or_terminating = presentations() | st.integers(0, 2**32 - 1).map(
+    lambda seed: random_terminating_presentation(random.Random(seed))
+)
+
+
+@PROPERTY
+@given(arbitrary_or_terminating, st.data())
+def test_the_table_of_normal_forms_agrees_with_normalize(p, data):
+    """``normal_form`` stores the word ``normalize`` reaches, and raises
+    its FuelError, storing nothing, where the fuel runs out."""
+    word = tuple(data.draw(st.lists(st.sampled_from(p.generators), max_size=8))) if p.generators else ()
+    reduce = rewrite._reduce
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "_reduce", lambda w, q, fuel=SMALL_FUEL: reduce(w, q, min(fuel, SMALL_FUEL)))
+        try:
+            expected = normalize(word, p, SMALL_FUEL)[0]
+        except FuelError as exc:
+            with pytest.raises(FuelError, match=re.escape(str(exc))):
+                normal_form(p, word)
+            assert word not in p._normal_forms
+        else:
+            assert normal_form(p, word) == expected == p._normal_forms[word]
+            assert normal_form(p, word) == expected
 
 
 @settings(max_examples=60, deadline=None)
