@@ -21,6 +21,7 @@ from .presentation import (
     Presentation,
     Rule,
     Word,
+    _weight,
     compare_words,
 )
 # ``srs.completion.normalize`` stays importable as before; completion itself
@@ -87,14 +88,25 @@ def knuth_bendix(
     ``critical_branchings``), and the first one whose two sides reach
     distinct normal forms gives the next rule; the walk stops there, so the
     result is deterministic and only the branchings read are enumerated.
-    The overlaps of each pair of left-hand sides are computed once per run.
+    The branchings of each pair of rules are built once per run and built
+    again only when one of the two rules changes.
 
-    Branchings found joinable before are normalized again on every walk:
-    the rule set is not yet confluent, so an added rule can move a side's
-    leftmost normal form, and a branching joinable under one rule set can
-    be unjoinable under the next (on ``r1: a b a -> b a``, ``r2: b b -> b a``,
-    the r1/r1 branching at ``a b a b a`` does so once ``b a b -> b a a`` is
-    added).  Skipping such re-checks would change which rules are added.
+    A walk re-reads only what the rules added since the last walk can
+    change.  An added rule can move a side's leftmost normal form, so a
+    branching joinable under one rule set can be unjoinable under the next
+    (on ``r1: a b a -> b a``, ``r2: b b -> b a``, the r1/r1 branching at
+    ``a b a b a`` does so once ``b a b -> b a a`` is added).  But in an
+    inter-reduced set the leftmost path from a word ``w`` changes only if an
+    added left-hand side occurs in one of its words: as a new redex, or in
+    the left-hand side of a rule used there (which is removed) or in its
+    right-hand side (which is reduced).  No word on the path is heavier than
+    ``w`` (``_weight``), so neither is that left-hand side.  Walks therefore
+    keep their normal forms by weight and drop those at least as heavy as
+    the lightest left-hand side added since; the rest keep their path,
+    normal form and step count.  Only walks write the table, as
+    ``simplify``'s rule sets are not inter-reduced; and ``simplify`` leaves
+    alone a right-hand side lighter than every left-hand side added since
+    the last walk, which for the same reason is irreducible.
 
     ``fuel`` bounds the number of added rules; exceeding it raises
     FuelError.  Every added rule's sides are congruent in the input
@@ -108,6 +120,10 @@ def knuth_bendix(
     used_ids = {r.rule_id for r in rules}
     counter = itertools.count(1)
     added = 0
+    # walk normal forms by weight, and the weight of the lightest lhs added
+    # since the last walk (0 before the first: no right-hand side is skipped)
+    forms: dict[int, dict[Word, Word]] = {}
+    lightest = 0
 
     def fresh_id() -> str:
         while True:
@@ -117,11 +133,12 @@ def knuth_bendix(
                 return cand
 
     def add_rule(u: Word, v: Word, overlap: Word | None):
-        nonlocal added
+        nonlocal added, lightest
         lhs, rhs = _orient(p, u, v)
         added += 1
         if added > fuel:
             raise FuelError(f"completion did not finish within {fuel} added rules")
+        lightest = min(lightest, _weight(p.order, lhs))
         rule = Rule(fresh_id(), lhs, rhs)
         rules.append(rule)
         trace.append(CompletionEvent("add", rule.rule_id, lhs, rhs, overlap))
@@ -154,6 +171,8 @@ def knuth_bendix(
                 continue
             # normalize right-hand sides against the full set
             for idx, rule in enumerate(rules):
+                if _weight(p.order, rule.rhs) < lightest:
+                    continue
                 rhs = _reduce(rule.rhs, current)[0]
                 if rhs != rule.rhs:
                     rules[idx] = Rule(rule.rule_id, rule.lhs, rhs)
@@ -164,14 +183,24 @@ def knuth_bendix(
                     break
         return current
 
-    overlaps: dict = {}
+    def walk_normal_form(word: Word) -> Word:
+        group = forms.setdefault(_weight(p.order, word), {})
+        nf = group.get(word)
+        if nf is None:
+            nf = group[word] = _reduce(word, current)[0]
+        return nf
+
+    pairs: dict = {}
     current = simplify()
     while True:
+        for weight in [k for k in forms if k >= lightest]:
+            del forms[weight]
+        lightest = float("inf")
         pending = None
-        for b in _branchings_in_order(current, overlaps):
+        for b in _branchings_in_order(current, pairs):
             left, right = b.targets
-            nf_left = _reduce(left, current)[0]
-            nf_right = _reduce(right, current)[0]
+            nf_left = walk_normal_form(left)
+            nf_right = walk_normal_form(right)
             if nf_left != nf_right:
                 pending = (nf_left, nf_right, b.overlap)
                 break

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import FuelError, NotConvergentError, NotJoinableError, NotTerminatingError
 from .presentation import Presentation, Rule, Word
@@ -51,17 +51,11 @@ class CriticalBranching:
     def redexes(self) -> tuple[tuple[str, int], tuple[str, int]]:
         return (self.rule1.rule_id, 0), (self.rule2.rule_id, self.offset)
 
-    @property
+    @cached_property
     def targets(self) -> tuple[Word, Word]:
         """The words that rule1's and rule2's redexes rewrite the overlap to."""
         w, r1, r2, off = self.overlap, self.rule1, self.rule2, self.offset
         return r1.rhs + w[len(r1.lhs) :], w[:off] + r2.rhs + w[off + len(r2.lhs) :]
-
-
-def branching_key(overlap: Word, redex_a: tuple[str, int], redex_b: tuple[str, int]):
-    """Identity of a branching: its overlap and its unordered pair of
-    (rule id, position) redexes."""
-    return overlap, tuple(sorted([(redex_a[1], redex_a[0]), (redex_b[1], redex_b[0])]))
 
 
 def _overlaps(l1: Word, l2: Word, same_rule: bool) -> tuple[tuple[int, Word, str], ...]:
@@ -82,28 +76,28 @@ def _overlaps(l1: Word, l2: Word, same_rule: bool) -> tuple[tuple[int, Word, str
 
 
 def _branchings_in_order(
-    p: Presentation, overlaps: dict[tuple[Word, Word, bool], tuple]
+    p: Presentation, pairs: dict[tuple[str, str], tuple]
 ) -> Iterator[CriticalBranching]:
     """Critical branchings in the order (rule1 index, rule2 index, offset),
-    each unordered redex pair once, at its first place in that order (two
-    rules with the same lhs meet at offset 0 in both orders).
+    each unordered redex pair once, at its first place in that order.  Only
+    two rules with the same lhs meet at offset 0 in both orders (each
+    contains the other at 0), so the second of those is skipped.
 
-    Overlaps depend only on the two left-hand sides, so ``overlaps`` keeps
-    each pair's under ``(lhs1, lhs2, same rule)``; a caller that walks the
-    branchings of many rule sets of one run passes the same dict to all.
+    ``pairs`` keeps, under the two rule ids, the two ``Rule`` objects and
+    the pair's branchings.  An entry is read again while both rules are
+    those same objects; a reduced right-hand side makes a new ``Rule``, so
+    that rule's pairs are built again.  A caller that walks the branchings
+    of many rule sets of one run passes the same dict to all.
     """
-    seen = set()
     for i, r1 in enumerate(p.rules):
         for j, r2 in enumerate(p.rules):
-            pair = (r1.lhs, r2.lhs, i == j)
-            found = overlaps.get(pair)
-            if found is None:
-                found = overlaps[pair] = _overlaps(*pair)
-            for off, overlap, kind in found:
-                key = branching_key(overlap, (r1.rule_id, 0), (r2.rule_id, off))
-                if key not in seen:
-                    seen.add(key)
-                    yield CriticalBranching(r1, r2, off, overlap, kind)
+            entry = pairs.get((r1.rule_id, r2.rule_id))
+            if entry is None or entry[0] is not r1 or entry[1] is not r2:
+                built = [CriticalBranching(r1, r2, *o) for o in _overlaps(r1.lhs, r2.lhs, i == j)]
+                entry = pairs[r1.rule_id, r2.rule_id] = (r1, r2, built)
+            for b in entry[2]:
+                if b.offset or i < j or r1.lhs != r2.lhs:
+                    yield b
 
 
 def critical_branchings(p: Presentation) -> tuple[CriticalBranching, ...]:

@@ -226,6 +226,16 @@ class Presentation:
         return all(len(g) == 1 for g in self.generators)
 
 
+def _weight(order: OrderSpec, w: Word) -> int:
+    """The first key of ``compare_words``: the length of ``w``, or its total
+    weight under weighted shortlex.  No rule that the order orients makes a
+    word heavier."""
+    if order.kind == "shortlex":
+        return len(w)
+    weight = order.weight
+    return sum(weight[g] for g in w)
+
+
 def compare_words(order: OrderSpec, u: Word, v: Word) -> int:
     """Total order on words: returns LESS, EQUAL or GREATER.
 
@@ -236,12 +246,7 @@ def compare_words(order: OrderSpec, u: Word, v: Word) -> int:
     """
     rank = order.rank
     try:
-        if order.kind == "shortlex":
-            ku, kv = len(u), len(v)
-        else:
-            weight = order.weight
-            ku = sum(weight[g] for g in u)
-            kv = sum(weight[g] for g in v)
+        ku, kv = _weight(order, u), _weight(order, v)
         if ku != kv:
             return LESS if ku < kv else GREATER
         for a, b in zip(u, v):

@@ -42,7 +42,7 @@ from srs import (
 )
 from srs.abelian import CertificateEntry, DecompositionCertificate
 from srs.completion import _orient, _with_rules
-from srs.critical import CONTAINMENT, PROPER, BranchingFailure, branching_key
+from srs.critical import CONTAINMENT, PROPER, BranchingFailure
 
 AS_TEXT = "generators: a\norder: shortlex a\nrules:\n r: a a -> a\n"
 
@@ -252,6 +252,12 @@ def first_split_pair_oracle(
             if (classes_p[u] == classes_p[v]) != (classes_q[u] == classes_q[v]):
                 return u, v
     return None
+
+
+def branching_key(overlap: Word, redex_a: tuple[str, int], redex_b: tuple[str, int]):
+    """Identity of a branching: its overlap and its unordered pair of
+    (rule id, position) redexes."""
+    return overlap, tuple(sorted([(redex_a[1], redex_a[0]), (redex_b[1], redex_b[0])]))
 
 
 def critical_branchings_oracle(p: Presentation) -> tuple[CriticalBranching, ...]:
@@ -709,4 +715,29 @@ def random_terminating_presentation(rng: random.Random) -> Presentation:
                 continue
             rules.append(Rule(f"r{k + 1}", lhs, rhs))
             break
+    return Presentation(alphabet, tuple(rules), order)
+
+
+def random_ordered_presentation(rng: random.Random) -> Presentation:
+    """A random presentation over 1-3 letters with 1-5 rules, each oriented
+    from the larger of two words of up to 4 letters, under shortlex or
+    weighted shortlex (weights 1-3) over a random precedence."""
+    from srs import GREATER, OrderSpec, compare_words
+
+    alphabet = tuple("abc"[: rng.randint(1, 3)])
+    precedence = tuple(rng.sample(alphabet, len(alphabet)))
+    if rng.random() < 0.5:
+        order = OrderSpec("shortlex", precedence)
+    else:
+        weights = tuple((g, rng.randint(1, 3)) for g in alphabet)
+        order = OrderSpec("weighted-shortlex", precedence, weights)
+    count = rng.randint(1, 5)
+    rules: list[Rule] = []
+    while len(rules) < count:
+        u, v = (tuple(rng.choices(alphabet, k=rng.randint(0, 4))) for _ in range(2))
+        if u == v:
+            continue
+        if compare_words(order, u, v) is not GREATER:
+            u, v = v, u
+        rules.append(Rule(f"r{len(rules) + 1}", u, v))
     return Presentation(alphabet, tuple(rules), order)
