@@ -23,7 +23,6 @@ its footprint must equal the footprint of the decomposed loop, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FuelError
 from .presentation import Presentation, Rule, Word
@@ -107,7 +106,8 @@ class _BasisIndex:
     completion of redex_a's side, completion of redex_b's side)`` for both
     orders of a branching's redex pair: the sign is -1 in the branching's
     own order, whose loop runs down redex_a's side and back up redex_b's,
-    and +1 in the other.
+    and +1 in the other.  It is kept in ``p._cache`` and holds no reference
+    to ``p``, so a dropped presentation is freed without the collector.
     """
 
     def __init__(self, p: Presentation):
@@ -125,20 +125,21 @@ class _BasisIndex:
         self.by_pair = by_pair
         self.by_id = {loop.basis_id: loop for loop in loops}
         self._footprints: dict[str, Footprint] = {}
-        self.presentation = p
 
-    def loop_footprint(self, basis_id: str) -> Footprint:
+    def loop_footprint(self, basis_id: str, p: Presentation) -> Footprint:
         cached = self._footprints.get(basis_id)
         if cached is None:
-            cached = footprint(self.by_id[basis_id].loop, self.presentation)
+            cached = footprint(self.by_id[basis_id].loop, p)
             self._footprints[basis_id] = cached
         return cached
 
 
-@lru_cache(maxsize=None)
 def _basis(p: Presentation) -> _BasisIndex:
-    _require_convergent(p)
-    return _BasisIndex(p)
+    index = p._cache.get("basis")
+    if index is None:
+        _require_convergent(p)
+        index = p._cache["basis"] = _BasisIndex(p)
+    return index
 
 
 def basis_loops(p: Presentation) -> tuple[BasisLoop, ...]:
@@ -387,7 +388,7 @@ def pi_footprint(x: PiElement, p: Presentation) -> Footprint:
         loop = index.by_id.get(basis_id)
         if loop is None:
             raise ValueError(f"unknown basis id {basis_id!r}")
-        acted = act_footprint(ctx, index.loop_footprint(basis_id), p)
+        acted = act_footprint(ctx, index.loop_footprint(basis_id, p), p)
         _accumulate(out, acted, coeff)
     return out
 

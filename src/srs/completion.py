@@ -108,6 +108,15 @@ def knuth_bendix(
     alone a right-hand side lighter than every left-hand side added since
     the last walk, which for the same reason is irreducible.
 
+    ``simplify`` does what a loop that starts again after each change does,
+    in the same order, with one presentation per rule set.  A removal makes
+    no other left-hand side reducible, so the collapse scan goes on at the
+    same place with the presentation of the rest, which reduced the removed
+    rule's sides; an added rule may occur in any left-hand side, so the
+    scan starts again.  Reducibility depends on the left-hand sides alone,
+    so a reduced right-hand side removes no rule and leaves those read
+    before it irreducible: one pass does.
+
     ``fuel`` bounds the number of added rules; exceeding it raises
     FuelError.  Every added rule's sides are congruent in the input
     presentation by construction.
@@ -145,42 +154,31 @@ def knuth_bendix(
 
     def simplify() -> Presentation:
         """Inter-reduce ``rules``; returns their presentation."""
-        changed = True
-        while changed:
-            changed = False
-            # collapse rules whose lhs the others already reduce; one read of
-            # each lhs on the whole set's index finds them, so only a rule
-            # found reducible pays for a presentation of the others
-            current = _with_rules(p, rules)
-            index = current.index_automaton
-            for idx, rule in enumerate(rules):
-                if not _reducible_by_others(index, rule.lhs, idx):
-                    continue
-                q = _with_rules(p, rules[:idx] + rules[idx + 1 :])
-                u = _reduce(rule.lhs, q)[0]
-                del rules[idx]
-                trace.append(
-                    CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs)
-                )
-                v = _reduce(rule.rhs, q)[0]
-                if u != v:
-                    add_rule(u, v, None)
-                changed = True
-                break
-            if changed:
+        # collapse rules whose lhs the others reduce, one read of each lhs
+        current = _with_rules(p, rules)
+        idx = 0
+        while idx < len(rules):
+            if not _reducible_by_others(current.index_automaton, rules[idx].lhs, idx):
+                idx += 1
                 continue
-            # normalize right-hand sides against the full set
-            for idx, rule in enumerate(rules):
-                if _weight(p.order, rule.rhs) < lightest:
-                    continue
-                rhs = _reduce(rule.rhs, current)[0]
-                if rhs != rule.rhs:
-                    rules[idx] = Rule(rule.rule_id, rule.lhs, rhs)
-                    trace.append(
-                        CompletionEvent("simplify", rule.rule_id, rule.lhs, rhs)
-                    )
-                    changed = True
-                    break
+            rule = rules.pop(idx)
+            current = _with_rules(p, rules)
+            u = _reduce(rule.lhs, current)[0]
+            trace.append(CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs))
+            v = _reduce(rule.rhs, current)[0]
+            if u != v:
+                add_rule(u, v, None)
+                current = _with_rules(p, rules)
+                idx = 0
+        # normalize right-hand sides against the full set, in one pass
+        for idx, rule in enumerate(rules):
+            if _weight(p.order, rule.rhs) < lightest:
+                continue
+            rhs = _reduce(rule.rhs, current)[0]
+            if rhs != rule.rhs:
+                rules[idx] = Rule(rule.rule_id, rule.lhs, rhs)
+                trace.append(CompletionEvent("simplify", rule.rule_id, rule.lhs, rhs))
+                current = _with_rules(p, rules)
         return current
 
     def walk_normal_form(word: Word) -> Word:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import FuelError, NotConvergentError, NotJoinableError, NotTerminatingError
 from .presentation import Presentation, Rule, Word
@@ -190,14 +190,15 @@ class ConvergenceCertificate:
         )
 
 
-@lru_cache(maxsize=None)
 def is_convergent(p: Presentation) -> ConvergenceCertificate:
     """Termination by order plus local confluence of all critical branchings
     (hence confluence, by Newman's lemma for terminating systems)."""
-    termination = check_termination(p)
-    if not termination.ok:
-        return ConvergenceCertificate(termination, None)
-    return ConvergenceCertificate(termination, is_locally_confluent(p))
+    cert = p._cache.get("convergence")
+    if cert is None:
+        termination = check_termination(p)
+        confluence = is_locally_confluent(p) if termination.ok else None
+        cert = p._cache["convergence"] = ConvergenceCertificate(termination, confluence)
+    return cert
 
 
 def _require_convergent(p: Presentation):

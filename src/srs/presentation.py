@@ -4,7 +4,7 @@ A presentation is an alphabet of named generators together with a family of
 oriented rewriting rules over words in those generators and a reduction
 order (shortlex or weighted shortlex) used to certify termination.  All
 values here are immutable after construction and safe to share between
-threads.
+threads; a presentation's caches fill on first use.
 
 The line-oriented file format (``#`` starts a comment)::
 
@@ -119,7 +119,8 @@ class IndexAutomaton:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Alphabet, rules and reduction order; the unit of work for every tool."""
+    """Alphabet, rules and reduction order, the unit of work for every tool;
+    immutable and thread-safe but for the cached properties it fills."""
 
     generators: tuple[str, ...]
     rules: tuple[Rule, ...]
@@ -146,18 +147,9 @@ class Presentation:
                         f"rule {rule.rule_id}: unknown generator {g!r}"
                     )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # computed once: presentations key the per-presentation caches, and
-        # hashing one hashes every rule
-        return hash((self.generators, self.rules, self.order))
-
     def __getstate__(self) -> dict:
-        # string hashes differ between processes, and the normal forms are a
-        # cache, so a pickle leaves out the private fields, _hash and _normal_forms
+        # the private fields, _normal_forms and _cache, are caches: a pickle
+        # leaves them out
         return {name: value for name, value in vars(self).items() if name[0] != "_"}
 
     @cached_property
@@ -167,10 +159,6 @@ class Presentation:
     @cached_property
     def rule_by_id(self) -> dict[str, Rule]:
         return {rule.rule_id: rule for rule in self.rules}
-
-    @cached_property
-    def rule_position(self) -> dict[str, int]:
-        return {rule.rule_id: i for i, rule in enumerate(self.rules)}
 
     @cached_property
     def index_automaton(self) -> IndexAutomaton:
@@ -219,6 +207,11 @@ class Presentation:
     def _normal_forms(self) -> dict[Word, Word]:
         # word -> normal form (default fuel), filled by ``rewrite.normal_form``;
         # a word holds only strings, so the collector does not track it
+        return {}
+
+    @cached_property
+    def _cache(self) -> dict:
+        # derived values: "convergence", "basis", rule images by pair of words
         return {}
 
     @cached_property

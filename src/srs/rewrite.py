@@ -29,8 +29,8 @@ kept for callers that want whole words.  The repr shows the moves.
 
 Paths are built only where their moves are read.  ``normal_form`` reads
 and fills the presentation's table of words (``_normal_forms``) and builds
-no path.  ``normal_path`` caches whole paths; of the library only the rule
-images of ``transport`` read it.
+no path.  ``normal_path`` caches whole paths, keyed on the presentation; no
+library code calls it, and the benchmark's tracer reads its ``cache_info()``.
 """
 
 from __future__ import annotations

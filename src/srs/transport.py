@@ -11,11 +11,11 @@ along these loops yields a generating family on the other side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import TranslationError
 from .presentation import Presentation, Rule, Word, format_word, parse_word, ParseError
-from .rewrite import Move, Path, normal_form, normal_path
+from .rewrite import Move, Path, normal_form, normalize
 from .track import compose, free_reduce, invert, shift_moves
 from .critical import is_convergent
 
@@ -118,11 +118,14 @@ def check_translation(
     return TranslationReport(tuple(failures))
 
 
-@lru_cache(maxsize=None)
 def _rule_image(dst: Presentation, lhs_image: Word, rhs_image: Word) -> Path:
     """Canonical path between two congruent words, such as the images of a
     rule's sides: down to the common normal form and back up."""
-    return compose(normal_path(dst, lhs_image), invert(normal_path(dst, rhs_image)))
+    path = dst._cache.get((lhs_image, rhs_image))
+    if path is None:
+        down, up = normalize(lhs_image, dst)[1], normalize(rhs_image, dst)[1]
+        path = dst._cache[lhs_image, rhs_image] = compose(down, invert(up))
+    return path
 
 
 def functor_image(

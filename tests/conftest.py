@@ -2,16 +2,17 @@
 
 import pytest
 
-from srs import Path, abelian, critical, rewrite, transport
+from srs import Path, rewrite
 
 
 @pytest.fixture
 def replay_derived(monkeypatch):
     """Make ``Path._derived`` replay its moves through ``Path.from_moves``
     and assert the target its caller states, so that every path the test
-    derives is checked as a path from outside is.  The caches that hold
-    derived paths are emptied first, so the test reads none built without
-    the replay."""
+    derives is checked as a path from outside is.  Derived paths are kept
+    on the presentations they belong to, which these tests build afresh,
+    and in ``normal_path``'s cache, emptied first, so the test reads none
+    built without the replay."""
 
     def replaying(cls, base, moves, target):
         path = Path.from_moves(base, moves)
@@ -19,5 +20,4 @@ def replay_derived(monkeypatch):
         return path
 
     monkeypatch.setattr(Path, "_derived", classmethod(replaying))
-    for cache in (rewrite.normal_path, critical.is_convergent, abelian._basis, transport._rule_image):
-        cache.cache_clear()
+    rewrite.normal_path.cache_clear()

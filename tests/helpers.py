@@ -265,6 +265,7 @@ def critical_branchings_oracle(p: Presentation) -> tuple[CriticalBranching, ...]
     ``branching_key`` (first insertion kept), then sorted by (rule1 index,
     rule2 index, offset): the enumeration the in-order walk replaced."""
     found: dict[object, CriticalBranching] = {}
+    position = {rule.rule_id: i for i, rule in enumerate(p.rules)}
     for i, r1 in enumerate(p.rules):
         for j, r2 in enumerate(p.rules):
             l1, l2 = r1.lhs, r2.lhs
@@ -283,8 +284,8 @@ def critical_branchings_oracle(p: Presentation) -> tuple[CriticalBranching, ...]
         sorted(
             found.values(),
             key=lambda b: (
-                p.rule_position[b.rule1.rule_id],
-                p.rule_position[b.rule2.rule_id],
+                position[b.rule1.rule_id],
+                position[b.rule2.rule_id],
                 b.offset,
             ),
         )

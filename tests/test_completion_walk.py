@@ -32,7 +32,7 @@ from srs import (
 )
 from srs.completion import _reducible_by_others
 from srs.critical import CONTAINMENT, PROPER, _branchings_in_order
-from srs.presentation import _weight
+from srs.presentation import IndexAutomaton, _weight
 from helpers import (
     critical_branchings_oracle,
     knuth_bendix_oracle,
@@ -251,28 +251,56 @@ def test_pairs_are_built_again_when_a_rule_changes():
 
 def test_b4_completion_counts_and_trace(monkeypatch):
     """B4 under s4 < s2 < s1 < s3 completes in a 119-event trace.  Its walks
-    reduce 1,651 words and build 331 branchings; rebuilding every branching
-    and reducing both of its sides on every walk took 5,708 reductions and
-    2,001 branchings for the same trace."""
+    and inter-reductions reduce 1,640 words, build 331 branchings and 120
+    index automata; rebuilding every branching and reducing both of its
+    sides on every walk took 5,708 reductions and 2,001 branchings for the
+    same trace, and an inter-reduction that started again after each change
+    took 1,651 reductions and 164 automata."""
     p = parse_presentation((INPUTS / "coxeter" / "B4.pres").read_text(encoding="utf-8"))
     (q,) = [q for q in precedences(p) if q.order.precedence == ("s4", "s2", "s1", "s3")]
-    counts = {"reductions": 0, "branchings": 0}
-    reduce, init = srs.completion._reduce, CriticalBranching.__init__
+    counts = {"reductions": 0, "branchings": 0, "automata": 0}
+    reduce = srs.completion._reduce
 
     def counted_reduce(*args):
         counts["reductions"] += 1
         return reduce(*args)
 
-    def counted_init(self, *args):
-        counts["branchings"] += 1
-        init(self, *args)
+    def counted(cls, key):
+        init = cls.__init__
+
+        def counted_init(self, *args):
+            counts[key] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
 
     monkeypatch.setattr(srs.completion, "_reduce", counted_reduce)
-    monkeypatch.setattr(CriticalBranching, "__init__", counted_init)
+    counted(CriticalBranching, "branchings")
+    counted(IndexAutomaton, "automata")
     completed, trace = knuth_bendix(q)
-    assert counts == {"reductions": 1651, "branchings": 331}
+    assert counts == {"reductions": 1640, "branchings": 331, "automata": 120}
     assert (len(trace), len(completed.rules)) == (119, 25)
     events = repr([(e.kind, e.rule_id, e.lhs, e.rhs, e.overlap) for e in trace])
     assert hashlib.sha256(events.encode()).hexdigest() == (
         "ce934d0c99d95459e6e3ff4440c3e8f7bcffd8df7550511aeef14ce1ea38d7fb"
     )
+
+
+def test_a_right_hand_side_is_reduced_by_the_rules_already_reduced():
+    """After kb1 ``b a -> a`` is added, one pass reduces r1's rhs ``a c`` to
+    ε and then r2's rhs ``b c a`` by r1 as it now is (``c a -> ε``) to ``b``;
+    r1 as it was (``c a -> a c``) would take ``b c a`` through ``b a c`` and
+    ``a c`` to ε."""
+    p = parse_presentation(
+        "generators: a b c\norder: shortlex b < a < c\nrules:\n"
+        " r1: c a -> a c\n r2: b c c -> b c a\n r3: a c ->\n r4: c a a -> b a\n"
+    )
+    completed, trace = knuth_bendix(p, 16)
+    assert (completed, trace) == knuth_bendix_oracle(p, 16)
+    events = [(e.kind, e.rule_id, e.rhs) for e in trace[:4]]
+    assert events == [
+        ("remove", "r4", w("ba")),
+        ("add", "kb1", w("a")),
+        ("simplify", "r1", ()),
+        ("simplify", "r2", w("b")),
+    ]

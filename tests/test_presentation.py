@@ -13,6 +13,7 @@ from srs import (
     Rule,
     compare_words,
     format_word,
+    is_convergent,
     normal_form,
     parse_presentation,
     parse_word,
@@ -233,11 +234,11 @@ def test_presentation_invariants():
 def test_the_hash_is_kept_and_left_out_of_pickles():
     p = as_presentation()
     assert hash(p) == hash((p.generators, p.rules, p.order)) == hash(as_presentation())
-    assert "_hash" in vars(p)
     assert normal_form(p, w("aaa")) == w("a") and p._normal_forms == {w("aaa"): w("a")}
-    # another process hashes strings differently, so the hash is not carried,
-    # and the table of normal forms is a cache
+    assert is_convergent(p).ok and set(p._cache) == {"convergence"}
+    # the table of normal forms and what is derived from the presentation
+    # are caches, which a pickle leaves out
     q = pickle.loads(pickle.dumps(p))
-    assert "_hash" not in vars(q) and "_normal_forms" not in vars(q)
+    assert "_cache" not in vars(q) and "_normal_forms" not in vars(q)
     assert q == p and hash(q) == hash(p)
     assert normal_form(q, w("aaa")) == w("a")

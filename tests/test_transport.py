@@ -22,7 +22,7 @@ from srs import (
     transported_generators,
     decompose_loop,
 )
-from srs.transport import format_translation_map
+from srs.transport import _rule_image, format_translation_map
 from helpers import as_presentation, random_loop, random_mixed_path, random_word, w
 
 # every path these tests derive is replayed (see conftest.py)
@@ -92,6 +92,13 @@ def test_translation_map_round_trip_format():
     m = as_to_upsilon_map(sigma, ups)
     text = format_translation_map(m, sigma, ups)
     assert parse_translation_map(text, sigma, ups) == m
+
+
+def test_a_rule_image_is_kept_under_both_of_its_words():
+    ups = upsilon()
+    down, up = _rule_image(ups, w("bbe"), w("b")), _rule_image(ups, w("bbe"), w("bb"))
+    assert (down.base, down.target, up.base, up.target) == (w("bbe"), w("b"), w("bbe"), w("bb"))
+    assert _rule_image(ups, w("bbe"), w("b")) is down
 
 
 def test_functor_image_identity_path():
