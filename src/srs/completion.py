@@ -17,16 +17,15 @@ from .errors import FuelError, NotTerminatingError, UnorientableError
 from .presentation import (
     GREATER,
     LESS,
-    IndexAutomaton,
     Presentation,
     Rule,
     Word,
     _weight,
     compare_words,
 )
-# ``srs.completion.normalize`` stays importable as before; completion itself
-# reduces with ``_reduce``, which builds no path
-from .rewrite import RewriteStep, _reduce, check_termination, find_redexes, normalize  # noqa: F401
+from .rewrite import _matches, _reduce, check_termination
+# pinned by srsbench/tests/test_srsbench.py::test_tracing_srs_counts_and_restores
+from .rewrite import normalize  # noqa: F401
 from .critical import _branchings_in_order, words_up_to
 
 DEFAULT_RULE_FUEL = 256
@@ -56,26 +55,6 @@ def _orient(p: Presentation, u: Word, v: Word) -> tuple[Word, Word]:
     raise UnorientableError(
         f"the order cannot orient {''.join(u) or 'ε'} = {''.join(v) or 'ε'}"
     )
-
-
-def _reducible_by_others(index: IndexAutomaton, lhs: Word, idx: int) -> bool:
-    """Whether a left-hand side other than rule ``idx``'s occurs in ``lhs``,
-    rule ``idx``'s own left-hand side.
-
-    Reading ``lhs`` from state 0 passes through the trie states of its
-    prefixes.  Before the last letter, a left-hand side ending there is
-    shorter than ``lhs``, so it is another rule's.  After it, the state is
-    ``lhs`` itself: another rule occurs when a second rule has this left-hand
-    side or one on the failure chain ends there.
-    """
-    delta, longest = index.delta, index.longest
-    state = 0
-    for letter in lhs[:-1]:
-        state = delta[state][letter]
-        if longest[state]:
-            return True
-    state = delta[state][lhs[-1]]
-    return index.ends[state] != (idx,) or index.out[state] != 0
 
 
 def knuth_bendix(
@@ -113,7 +92,9 @@ def knuth_bendix(
     no other left-hand side reducible, so the collapse scan goes on at the
     same place with the presentation of the rest, which reduced the removed
     rule's sides; an added rule may occur in any left-hand side, so the
-    scan starts again.  Reducibility depends on the left-hand sides alone,
+    scan starts again.  A left-hand side is reducible by the others when
+    the automaton reads in it an occurrence other than its own rule's at 0
+    (``_matches``).  Reducibility depends on the left-hand sides alone,
     so a reduced right-hand side removes no rule and leaves those read
     before it irreducible: one pass does.
 
@@ -158,7 +139,7 @@ def knuth_bendix(
         current = _with_rules(p, rules)
         idx = 0
         while idx < len(rules):
-            if not _reducible_by_others(current.index_automaton, rules[idx].lhs, idx):
+            if all(m == (0, idx) for m in _matches(rules[idx].lhs, current.index_automaton)):
                 idx += 1
                 continue
             rule = rules.pop(idx)
@@ -228,9 +209,11 @@ def _congruence_classes(p: Presentation, bound: int) -> dict[Word, Word]:
     words = list(words_up_to(p.generators, bound))
     for w in words:
         parent[w] = w
+    index, rules = p.index_automaton, p.rules
     for w in words:
-        for redex in find_redexes(w, p):
-            rewritten = RewriteStep(w, redex.rule, redex.pos, 1).target
+        for pos, r in _matches(w, index):
+            rule = rules[r]
+            rewritten = w[:pos] + rule.rhs + w[pos + len(rule.lhs) :]
             if len(rewritten) <= bound:
                 ra, rb = find(w), find(rewritten)
                 if ra != rb:

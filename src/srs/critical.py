@@ -19,10 +19,9 @@ from .presentation import Presentation, Rule, Word
 from .rewrite import (
     DEFAULT_FUEL,
     Path,
-    RewriteStep,
     TerminationCertificate,
+    _matches,
     check_termination,
-    find_redexes,
     normal_form,
     normalize,
 )
@@ -224,7 +223,8 @@ def words_up_to(alphabet: tuple[str, ...], max_len: int):
     than ``DEFAULT_FUEL`` letters in all raise FuelError before the first
     word is yielded.  (A count of words would let one generator through
     with a bound near the fuel, and those words hold half a million million
-    letters.)
+    letters.)  ``brute_force_confluence`` also counts the letters of the
+    reducts it visits from them.
     """
     lengths = range(max_len + 1 if alphabet else 1)  # over no letters only ε
     letters = itertools.accumulate(n * len(alphabet) ** n for n in lengths)
@@ -240,13 +240,18 @@ def words_up_to(alphabet: tuple[str, ...], max_len: int):
 def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
     """Exhaustive confluence oracle: for every word up to ``max_len``, every
     reduct must reach one single normal form.  Intended for small bounds on
-    terminating presentations."""
+    terminating presentations.  The letters of each word visited are counted
+    once; past ``DEFAULT_FUEL`` in all it raises FuelError (under weights a
+    reduct can outgrow its word, under shortlex it cannot)."""
+    index, rules = p.index_automaton, p.rules
     nf_sets: dict[Word, frozenset[Word]] = {}
-
-    def nfs(root: Word) -> frozenset[Word]:
+    letters = 0
+    for root in words_up_to(p.generators, max_len):
         # depth first with an explicit stack, since reductions can be longer
         # than the interpreter's recursion limit; an entry's children are
-        # listed on its first visit and its set is formed on its second
+        # listed on its first visit, in (position, rule index) order (which
+        # decides the cycle a NotTerminatingError names), and its set is
+        # formed on its second
         stack: list[tuple[Word, tuple[Word, ...] | None]] = [(root, None)]
         open_words: set[Word] = set()
         while stack:
@@ -254,9 +259,15 @@ def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
             if w in nf_sets:
                 continue
             if children is None:
+                letters += len(w)
+                if letters > DEFAULT_FUEL:
+                    raise FuelError(
+                        f"the reducts of the words up to {''.join(root) or 'ε'!r} hold "
+                        f"more than {DEFAULT_FUEL} letters, too many to search"
+                    )
                 children = tuple(
-                    RewriteStep(w, redex.rule, redex.pos, 1).target
-                    for redex in find_redexes(w, p)
+                    w[:pos] + rules[r].rhs + w[pos + len(rules[r].lhs) :]
+                    for pos, r in sorted(_matches(w, index))
                 )
                 cycle = next((c for c in children if c in open_words), None)
                 if cycle is not None:
@@ -274,10 +285,7 @@ def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
                 if children
                 else frozenset((w,))
             )
-        return nf_sets[root]
-
-    for w in words_up_to(p.generators, max_len):
-        forms = sorted(nfs(w))
+        forms = sorted(nf_sets[root])
         if len(forms) > 1:
-            return BruteForceReport(max_len, (w, forms[0], forms[1]))
+            return BruteForceReport(max_len, (root, forms[0], forms[1]))
     return BruteForceReport(max_len, None)

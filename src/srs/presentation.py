@@ -91,7 +91,8 @@ class Rule:
 @dataclass(frozen=True, eq=False)
 class IndexAutomaton:
     """Sims' index automaton of a presentation's left-hand sides: the one
-    matcher that every redex scan reads.
+    matcher that every redex scan reads, through ``rewrite._scan`` (the
+    leftmost-lowest redex) or ``rewrite._matches`` (every occurrence).
 
     A state is a prefix of a left-hand side (state 0 the empty one), numbered
     as the trie of left-hand sides creates them.  ``delta[s][g]`` is the

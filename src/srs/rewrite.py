@@ -8,12 +8,13 @@ generators) reproducible.
 Every redex scan reads one index: the index automaton of all left-hand
 sides that ``Presentation.index_automaton`` builds once per presentation,
 the trie of left-hand sides completed with failure transitions.  A scan
-reads each letter once, from state 0 or from a state stored at an earlier
-position, and the state after a letter names the left-hand sides that end
-there.  Because the strategy picks the leftmost *start* while the
-automaton reports matches by their *end*, a scan that has found a redex
-reads on at most as far as the longest left-hand side reaches from its
-start before it commits (see ``normalize``).
+reads each letter once, and the state after a letter names the left-hand
+sides that end there.  ``_matches`` reads every occurrence off the output
+links.  ``_scan`` finds the leftmost-lowest redex, from state 0 or from a
+state stored at an earlier position; because the strategy picks the
+leftmost *start* while the automaton reports matches by their *end*, once
+it has found a redex it reads on at most as far as the longest left-hand
+side reaches from its start before it commits (see ``normalize``).
 
 A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
 triples: every word along it follows from those, so a stored path holds
@@ -262,23 +263,24 @@ def first_redex(w: Sequence[str], p: Presentation, start: int = 0) -> Redex | No
     return None if found is None else Redex(p.rules[found[1]], found[0])
 
 
-def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
-    """All rule occurrences in ``w``, sorted by position then rule index.
-
-    Empty exactly when ``w`` is a normal form.  Each end's occurrences are
-    read off the automaton's state there and its output links.
-    """
-    index = p.index_automaton
+def _matches(w: Sequence[str], index: IndexAutomaton) -> Iterator[tuple[int, int]]:
+    """Every left-hand-side occurrence in ``w`` as ``(position, rule index)``,
+    by end, read off the state there and its output links."""
     delta, longest, ends, out = index.delta, index.longest, index.ends, index.out
-    found: list[tuple[int, int]] = []
     state = 0
     for end, letter in enumerate(w, 1):
         state = delta[state].get(letter, 0)
         node = state if ends[state] else out[state]
         while node:
-            found.extend((end - longest[node], rule) for rule in ends[node])
+            for rule in ends[node]:
+                yield end - longest[node], rule
             node = out[node]
-    found.sort()
+
+
+def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
+    """All rule occurrences in ``w``, sorted by position then rule index;
+    empty exactly when ``w`` is a normal form."""
+    found = sorted(_matches(w, p.index_automaton))
     return tuple(Redex(p.rules[rule], pos) for pos, rule in found)
 
 

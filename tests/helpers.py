@@ -34,7 +34,6 @@ from srs import (
     generating_confluence,
     invert,
     normal_form,
-    normal_path,
     normalize,
     parse_presentation,
     translate_word,
@@ -165,7 +164,7 @@ def functor_image_oracle(
         lhs_image = translate_word(step.rule.lhs, fwd)
         rhs_image = translate_word(step.rule.rhs, fwd)
         segment = compose(
-            normal_path(dst, lhs_image), invert_oracle(normal_path(dst, rhs_image))
+            normalize(lhs_image, dst)[1], invert_oracle(normalize(rhs_image, dst)[1])
         )
         if step.sign < 0:
             segment = invert_oracle(segment)
@@ -186,7 +185,7 @@ def comparison_path_oracle(
     for idx, g in enumerate(w):
         prefix_image = round_trip(w[:idx])
         lam = compose(
-            normal_path(sigma, (g,)), invert_oracle(normal_path(sigma, round_trip((g,))))
+            normalize((g,), sigma)[1], invert_oracle(normalize(round_trip((g,)), sigma)[1])
         )
         path = compose(path, whisker_oracle(prefix_image, lam, w[idx + 1 :]))
     return path
@@ -374,7 +373,7 @@ def conjugator_oracle(p: Presentation, loop_base: Word, base: Word) -> Path:
     the normal path of the loop's base composed with the inverse normal
     path of ``base``, free-reduced, as ``decompose_loop`` built it before
     it replayed each conjugator once."""
-    return free_reduce(compose(normal_path(p, loop_base), invert(normal_path(p, base))))
+    return free_reduce(compose(normalize(loop_base, p)[1], invert(normalize(base, p)[1])))
 
 
 def generating_confluence_loop_oracle(b: CriticalBranching, p: Presentation) -> Path:
@@ -383,8 +382,8 @@ def generating_confluence_loop_oracle(b: CriticalBranching, p: Presentation) -> 
     completion2)⁻, free-reduced."""
     step1 = Path(b.overlap, (RewriteStep(b.overlap, b.rule1, 0, 1),))
     step2 = Path(b.overlap, (RewriteStep(b.overlap, b.rule2, b.offset, 1),))
-    completion1 = normal_path(p, step1.target)
-    completion2 = normal_path(p, step2.target)
+    completion1 = normalize(step1.target, p)[1]
+    completion2 = normalize(step2.target, p)[1]
     return free_reduce(compose(compose(step1, completion1), invert(compose(step2, completion2))))
 
 
@@ -637,8 +636,8 @@ def random_mixed_path(
 def return_path(p: Presentation, source: Word, destination: Word) -> Path:
     """Canonical zigzag from source to destination through their common
     normal form (they must be congruent)."""
-    down = normal_path(p, source)
-    up = normal_path(p, destination)
+    down = normalize(source, p)[1]
+    up = normalize(destination, p)[1]
     assert down.target == up.target, "words are not congruent"
     return compose(down, invert(up))
 
@@ -659,7 +658,7 @@ def random_loop(
     )
     if kind == "zigzag":
         word = random_word(rng, p, max_len)
-        return compose(normal_path(p, word), invert(alt_normal_path(p, word)))
+        return compose(normalize(word, p)[1], invert(alt_normal_path(p, word)))
     if kind == "excursion":
         word = random_word(rng, p, max_len)
         out = random_mixed_path(rng, p, word, 6)
@@ -688,8 +687,8 @@ def random_loop(
 def move_loop(p: Presentation, loop: Path, base: Word) -> Path:
     """Conjugate a loop to sit at another base in the same congruence class;
     falls back to the empty loop when the classes differ."""
-    down_new = normal_path(p, base)
-    down_old = normal_path(p, loop.base)
+    down_new = normalize(base, p)[1]
+    down_old = normalize(loop.base, p)[1]
     if down_new.target != down_old.target:
         return Path(base)
     g = compose(down_new, invert(down_old))

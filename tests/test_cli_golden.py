@@ -27,6 +27,7 @@ CASES = {
     "check_unoriented": ["check", "grow.pres"],
     "check_negative_max_len": ["check", "two.pres", "--max-len", "-3"],
     "check_brute_force_out_of_fuel": ["check", "eight.pres", "--max-len", "12"],
+    "check_brute_force_reducts_out_of_fuel": ["check", "chain.pres", "--max-len", "2"],
     "normalize": ["normalize", "as.pres", "aaaa"],
     "normalize_spaced": ["normalize", "two.pres", "a b b a b"],
     "normalize_refused": ["normalize", "grow.pres", "a"],

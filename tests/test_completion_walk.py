@@ -25,16 +25,16 @@ from srs import (
     UnorientableError,
     compare_words,
     critical_branchings,
-    find_redexes,
     knuth_bendix,
     normalize,
     parse_presentation,
 )
-from srs.completion import _reducible_by_others
 from srs.critical import CONTAINMENT, PROPER, _branchings_in_order
 from srs.presentation import IndexAutomaton, _weight
+from srs.rewrite import _matches
 from helpers import (
     critical_branchings_oracle,
+    find_redexes_oracle,
     knuth_bendix_oracle,
     random_ordered_presentation,
     random_terminating_presentation,
@@ -71,13 +71,21 @@ def test_walk_lists_the_sorted_enumeration(p):
 
 
 @PROPERTY
-@given(rule_systems())
-def test_reducibility_read_on_the_index_matches_the_redex_list(p):
-    """A rule's lhs holds another rule's lhs exactly when ``find_redexes``
-    lists a redex of another rule in it."""
+@given(rule_systems(), st.lists(st.sampled_from("abcd"), max_size=8).map(tuple))
+def test_reducibility_read_on_the_index_matches_the_redex_list(p, word):
+    """``_matches`` reads each occurrence of a left-hand side once, as the
+    slice oracle lists them, in every rule's lhs and in a word that may hold
+    a letter outside the alphabet; so ``simplify`` keeps a rule exactly when
+    no other rule's lhs occurs in its lhs."""
+    number = {rule.rule_id: k for k, rule in enumerate(p.rules)}
+    for w in [rule.lhs for rule in p.rules] + [word]:
+        found = list(_matches(w, p.index_automaton))
+        listed = [(r.pos, number[r.rule_id]) for r in find_redexes_oracle(w, p)]
+        assert sorted(found) == sorted(listed)
     for idx, rule in enumerate(p.rules):
-        listed = not all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, p))
-        assert _reducible_by_others(p.index_automaton, rule.lhs, idx) == listed
+        others = [r for r in find_redexes_oracle(rule.lhs, p) if r.rule_id != rule.rule_id]
+        kept = all(m == (0, idx) for m in _matches(rule.lhs, p.index_automaton))
+        assert kept == (not others)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +29,8 @@ from helpers import (
     two_rule_presentation,
     w,
 )
+
+CHAIN = Path(__file__).parent / "golden" / "inputs" / "chain.pres"
 
 
 def test_as_has_exactly_one_branching():
@@ -184,6 +187,38 @@ def test_brute_force_agrees_with_reachable_normal_forms():
 def test_brute_force_reports_a_rewriting_cycle():
     p = parse_presentation("generators: a b\norder: shortlex a < b\nrules:\n r1: a -> b\n r2: b -> a\n")
     with pytest.raises(NotTerminatingError, match="returns to"):
+        brute_force_confluence(p, 1)
+
+
+def test_a_rewriting_cycle_is_named_in_the_order_of_position_then_rule():
+    """Each word's reducts are searched in (position, rule index) order, the
+    order of ``find_redexes``, and that order decides which word of a cycle
+    is named: in ``a b``, r1 at 0 comes before r2 at 0, though r2's shorter
+    left-hand side ends first."""
+    p = parse_presentation(
+        "generators: a b\norder: shortlex a < b\nrules:\n"
+        " r1: a b -> b a\n r2: a -> b\n r3: b b -> b a\n"
+    )
+    with pytest.raises(NotTerminatingError, match="from 'aa' returns to 'bb'"):
+        brute_force_confluence(p, 2)
+
+
+def test_brute_force_counts_the_letters_of_the_reducts_it_visits(monkeypatch):
+    """Under weights a reduct can be longer than its word: on ``a -> b b``,
+    ``b -> c c``, ``c -> d d``, ``d -> e e``, the letter ``a`` alone reaches
+    677 words.  From the words of length at most 1 the search visits 712
+    words, each listed once, roots included, holding 6,961 letters; from
+    those of length at most 2 it visits more than the fuel."""
+    import srs.critical
+
+    p = parse_presentation(CHAIN.read_text(encoding="utf-8"))
+    assert brute_force_confluence(p, 1).ok
+    with pytest.raises(FuelError, match="reducts of the words up to 'aa' hold more than 1000000"):
+        brute_force_confluence(p, 2)
+    monkeypatch.setattr(srs.critical, "DEFAULT_FUEL", 6961)
+    assert brute_force_confluence(p, 1).ok
+    monkeypatch.setattr(srs.critical, "DEFAULT_FUEL", 6960)
+    with pytest.raises(FuelError, match="up to 'e' hold more than 6960 letters"):
         brute_force_confluence(p, 1)
 
 
