@@ -28,10 +28,12 @@ from .errors import FuelError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
     DEFAULT_FUEL,
+    Move,
     Path,
     RewriteStep,
+    _out_of_fuel,
     _reduce,
-    first_redex,
+    _scan,
     normal_form,
 )
 from .critical import _require_convergent, critical_branchings, generating_confluence
@@ -196,6 +198,13 @@ def _peak_entries(
     every key of the chain.  The frames expanded, the scans and the point
     where fuel runs out are those of visiting each link as a frame.
 
+    A chain descends on one word edited in place, as ``normalize`` does,
+    keeping ``_scan``'s stack of automaton states from a base position on.
+    After a link rewrites b, the states up to ``b_pos`` still hold and the
+    next scan reads on from there, while the next link's first redex starts
+    at ``b_pos - maxlhs + 1`` or later (see below).  When that lies left of
+    the stack's base, the stack starts afresh there, from state 0.
+
     Each child carries a position no redex of its source starts before, so
     the scan for its b begins there.  A child's source keeps the prefix of
     its parent's source before ``b_pos``, which holds no redex, so a redex
@@ -207,7 +216,8 @@ def _peak_entries(
     (rewritten from ``pos`` on, prefix up to ``pos`` kept), each at least 0.
     The hint changes no result, so the memo key leaves it out.
     """
-    window = p.index_automaton.depth - 1
+    automaton, rules = p.index_automaton, p.rules
+    window = automaton.depth - 1
     memo: dict[tuple[Word, str, int], tuple[_RawEntry, ...]] = {}
     expanded = 0
     # a frame is (memo key, rule, start hint, None) on its first visit and
@@ -228,24 +238,27 @@ def _peak_entries(
             memo.update(dict.fromkeys(key, tuple(entries)))
             continue
         chain = []
+        _, rule_id, pos = key
+        # states[i] is the automaton's state after word[base:base + i]
+        word, states, base = list(key[0]), [0], start
         while key not in memo:
             expanded += 1
             if expanded > fuel:
                 raise FuelError(f"peak elimination did not finish within {fuel} frames")
             chain.append(key)
-            source, rule_id, pos = key
-            first = first_redex(source, p, start)
-            b_rule, b_pos = first.rule, first.pos
+            b_pos, b_index = _scan(word, automaton, states, base)
+            b_rule = rules[b_index]
             m_b = len(b_rule.lhs)
-            if b_pos + m_b > pos:  # b is the step, or overlaps it
+            if pos - b_pos <= window:  # b is the step, overlaps it or is near disjoint
                 break
-            # disjoint: the same step after b is a child
-            target_b = source[:b_pos] + b_rule.rhs + source[b_pos + m_b :]
-            after_b = (target_b, rule_id, pos + len(b_rule.rhs) - m_b)
-            if pos - b_pos <= window:
-                break
-            # far disjoint: it is the only child
-            key, start = after_b, max(0, b_pos - window)
+            # far disjoint: the same step after b is the only child
+            word[b_pos : b_pos + m_b] = b_rule.rhs
+            pos += len(b_rule.rhs) - m_b
+            key = (tuple(word), rule_id, pos)
+            if b_pos - window < base:
+                base, states = max(0, b_pos - window), [0]
+            else:
+                del states[b_pos - base + 1 :]
         else:
             # the chain meets a memoized step (an empty chain: the frame's own)
             memo.update(dict.fromkeys(chain, memo[key]))
@@ -255,13 +268,16 @@ def _peak_entries(
             memo.update(dict.fromkeys(chain, ()))
             continue
 
+        source = key[0]
         m_s = len(rule.lhs)
         if b_pos + m_b <= pos:
             # near disjoint, pos - b_pos < maxlhs: a redex starting at or before
             # b_pos can reach past the given step, so b may not stay first after
             # it; compare via the two residual steps across the square
             head: tuple[_RawEntry, ...] = ()
+            target_b = source[:b_pos] + b_rule.rhs + source[b_pos + m_b :]
             target_s = source[:pos] + rule.rhs + source[pos + m_s :]
+            after_b = (target_b, rule_id, pos + len(b_rule.rhs) - m_b)
             children = [
                 (after_b, rule, max(0, b_pos - window), None),
                 ((target_s, b_rule.rule_id, b_pos), b_rule, min(b_pos, max(0, pos - window)), None),
@@ -278,9 +294,9 @@ def _peak_entries(
             head = ((beta_sign, left_ctx, right_ctx, source, basis_id),)
             hint = max(0, b_pos - window)
             children = [
-                ((left_ctx + word + right_ctx, step_rule.rule_id, b_pos + q), step_rule, hint, None)
+                ((left_ctx + w + right_ctx, step_rule.rule_id, b_pos + q), step_rule, hint, None)
                 for path in (completion_b, completion_s)
-                for word, step_rule, q, _ in path.walk()
+                for w, step_rule, q, _ in path.walk()
             ]
             split = len(completion_b)
         stack.append((chain, rule, start, (head, [child[0] for child in children], split)))
@@ -342,6 +358,18 @@ def decompose_loop(
     Its footprint always replays to the footprint of ``f``.  ``fuel``
     bounds the peak-elimination frames expanded over all steps; running out
     raises FuelError.
+
+    An entry's conjugator runs down the normal path of ``f.base`` (its head)
+    and back up the normal path of the entry's base, both cut at the first
+    word of the base's path that lies on the head: the free reduction of
+    the two cancels their common suffix, and that suffix starts at this
+    word, since two leftmost-lowest paths from one word coincide and a
+    positive move and its target determine its source.  The bases descend
+    into one table per call, of the head's words and of the words earlier
+    bases passed through, each with the moves from it to the head: a base
+    descends in place only until it meets the table and takes the rest of
+    its path from there.  The whole path's length counts against the
+    default fuel, as ``normalize``'s would.
     """
     _require_convergent(p)
     if not f.is_closed:
@@ -355,21 +383,26 @@ def decompose_loop(
     raw: list[_RawEntry] = []
     for (_, _, sign), entries in zip(f.moves, _peak_entries(steps, p, _basis(p), fuel)):
         raw.extend(entries if sign > 0 else _negate_entries(entries))
-    head = _reduce(f.base, p)[1]
+    normal, head = _reduce(f.base, p, DEFAULT_FUEL)
+    # word -> (moves, k, j): moves[k:] lead from the word to the j-th word of head;
+    # the words come from walking _reduce's moves, each applied where found
+    known: dict[Word, tuple[list[Move], int, int]] = {normal: ([], 0, len(head))}
+    for j, (word, *_) in enumerate(Path._derived(f.base, head, normal).walk()):
+        known[word] = ([], 0, j)
     conjugators: dict[Word, Path] = {}
 
     def conjugator(base: Word) -> Path:
-        # the free reduction of (normal path of f.base) ⁎ (normal path of
-        # base)⁻ cancels their common suffix; the prefixes left meet at one
-        # word, as a positive move determines its source from its target
         path = conjugators.get(base)
         if path is None:
-            tail = _reduce(base, p)[1]
-            k = 0
-            while k < min(len(head), len(tail)) and head[-1 - k] == tail[-1 - k]:
-                k += 1
-            back = [(rule, pos, -sign) for rule, pos, sign in reversed(tail[: len(tail) - k])]
-            path = conjugators[base] = Path._derived(f.base, head[: len(head) - k] + back, base)
+            meeting, own = _reduce(base, p, DEFAULT_FUEL, known)
+            moves, k, j = known[meeting]
+            down = own + moves[k:]
+            if len(down) + len(head) - j > DEFAULT_FUEL:
+                raise _out_of_fuel(base, DEFAULT_FUEL)
+            for i, (word, *_) in enumerate(Path._derived(base, own, meeting).walk()):
+                known[word] = (down, i, j)
+            back = [(rule, pos, -sign) for rule, pos, sign in reversed(down)]
+            path = conjugators[base] = Path._derived(f.base, head[:j] + back, base)
         return path
 
     entries = tuple(

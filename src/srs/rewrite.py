@@ -14,7 +14,11 @@ links.  ``_scan`` finds the leftmost-lowest redex, from state 0 or from a
 state stored at an earlier position; because the strategy picks the
 leftmost *start* while the automaton reports matches by their *end*, once
 it has found a redex it reads on at most as far as the longest left-hand
-side reaches from its start before it commits (see ``normalize``).
+side reaches from its start before it commits (see ``normalize``).  Its
+callers keep a stack of those states along a word they edit in place:
+``_reduce``, for every normal form, normal path and certificate conjugator,
+and the chains of peak elimination in ``abelian._peak_entries``;
+``first_redex`` scans once, from state 0.
 
 A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
 triples: every word along it follows from those, so a stored path holds
@@ -36,7 +40,7 @@ library code calls it, and the benchmark's tracer reads its ``cache_info()``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -284,25 +288,34 @@ def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
     return tuple(Redex(p.rules[rule], pos) for pos, rule in found)
 
 
-def _reduce(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, list[Move]]:
+def _reduce(
+    w: Word, p: Presentation, fuel: int = DEFAULT_FUEL, until: Container[Word] = ()
+) -> tuple[Word, list[Move]]:
     """The normal form of ``w`` under the leftmost-lowest strategy and the
-    moves that reach it; ``normalize`` without building the path."""
+    moves that reach it; ``normalize`` without building the path.  With
+    ``until``, the descent stops at its first word in ``until``, ``w``
+    included, and returns that word and the moves to it."""
     index, rules = p.index_automaton, p.rules
     word = list(w)
     states = [0]
     moves: list[Move] = []
     remaining = fuel
-    while (found := _scan(word, index, states, 0)) is not None:
+    while not (until and tuple(word) in until) and (
+        found := _scan(word, index, states, 0)
+    ) is not None:
         if remaining <= 0:
-            raise FuelError(
-                f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}"
-            )
+            raise _out_of_fuel(w, fuel)
         remaining -= 1
         pos, rule = found[0], rules[found[1]]
         word[pos : pos + len(rule.lhs)] = rule.rhs
         moves.append((rule, pos, 1))
         del states[pos + 1 :]
     return tuple(word), moves
+
+
+def _out_of_fuel(w: Word, fuel: int) -> FuelError:
+    """The error of a descent from ``w`` longer than ``fuel`` steps."""
+    return FuelError(f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}")
 
 
 def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, Path]:

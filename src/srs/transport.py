@@ -135,17 +135,20 @@ def functor_image(
     each rule application maps to the canonical path between its translated
     sides, in the translated context.  Composition, whiskering and closure
     are preserved.  The segments' moves are collected into one path, so the
-    cost grows linearly with the length of ``f``."""
+    cost grows linearly with the length of ``f``; each call builds the
+    segment of a rule and sign once."""
     fwd = m.forward_map
     base = translate_word(f.base, fwd)  # a generator with no image raises here
     # the image length of each letter of the word the moves have reached
     widths = [len(fwd[g]) for g in f.base]
     moves: list[Move] = []
+    segments: dict[tuple[Word, Word, int], tuple[Move, ...]] = {}
     for rule, pos, sign in f.moves:
-        segment = _rule_image(dst, translate_word(rule.lhs, fwd), translate_word(rule.rhs, fwd))
-        if sign < 0:
-            segment = invert(segment)
-        moves += shift_moves(segment.moves, sum(widths[:pos]))
+        segment = segments.get((rule.lhs, rule.rhs, sign))
+        if segment is None:
+            image = _rule_image(dst, translate_word(rule.lhs, fwd), translate_word(rule.rhs, fwd))
+            segment = segments[rule.lhs, rule.rhs, sign] = (image if sign > 0 else invert(image)).moves
+        moves += shift_moves(segment, sum(widths[:pos]))
         factor, replacement = (rule.lhs, rule.rhs) if sign > 0 else (rule.rhs, rule.lhs)
         widths[pos : pos + len(factor)] = [len(fwd[g]) for g in replacement]
     # each segment is a checked _rule_image whiskered by the translated context

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from srs import (
+    FuelError,
     NotConvergentError,
     Path,
     RewriteStep,
@@ -17,6 +18,7 @@ from srs import (
     footprint,
     free_reduce,
     invert,
+    normal_form,
     normal_path,
     parse_path,
     parse_presentation,
@@ -24,6 +26,7 @@ from srs import (
     verify_certificate,
     whisker,
 )
+from srs import abelian
 from srs.abelian import DecompositionCertificate
 from srs.errors import DisjointnessError
 from helpers import (
@@ -340,7 +343,6 @@ def test_certificate_entries_sum_to_element():
     rng = random.Random(71)
     p = four_rule_presentation()
     basis = tuple(bl.loop for bl in basis_loops(p))
-    from srs import normal_form
 
     for _ in range(40):
         loop = random_loop(rng, p, basis)
@@ -383,3 +385,46 @@ def test_conjugators_match_the_oracle():
         word = w(text)
         zigzag = compose(normal_path(sorting, word), invert(alt_normal_path(sorting, word)))
         assert _check_conjugators(zigzag, sorting) > 0
+
+
+def test_two_entry_bases_merge_before_the_normal_path_of_the_loop_base():
+    """In the zigzag of ``c b a b a`` under the sorting system, the normal
+    path of the first entry's base ``a c b a b`` meets that of the loop's
+    base only at the normal form.  The second entry's base ``c b a a b``
+    meets the first one's path at ``a b c a b``, two steps earlier."""
+    p = parse_presentation(
+        "generators: a b c\norder: shortlex a < b < c\nrules:\n"
+        " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n"
+    )
+    word = w("cbaba")
+    zigzag = compose(normal_path(p, word), invert(alt_normal_path(p, word)))
+    entries = decompose_loop(zigzag, p).entries
+    first, second = (entry.conjugator.target for entry in entries[:2])
+    assert (first, second) == (w("acbab"), w("cbaab"))
+
+    def words(base):
+        return [source for source, *_ in normal_path(p, base).walk()] + [normal_form(p, base)]
+
+    head = words(zigzag.base)
+    assert set(words(first)) & set(head) == {w("aabbc")}
+    assert [u for u in words(second) if u in words(first)][0] == w("abcab") not in head
+    assert _check_conjugators(zigzag, p) == 3
+
+
+def test_a_conjugator_counts_its_whole_path_against_the_fuel(monkeypatch):
+    """The loop at the normal form ``a a b c`` climbs to ``c b a a`` along
+    the rightmost reduction and comes down the leftmost one.  The entry
+    based at ``c b a a`` has a 5-step normal path, whose descent meets the
+    paths of the bases before it after 3 steps: all 5 count."""
+    p = parse_presentation(
+        "generators: a b c\norder: shortlex a < b < c\nrules:\n"
+        " r1: b a -> a b\n r2: c a -> a c\n r3: c b -> b c\n"
+    )
+    word = w("cbaa")
+    loop = compose(invert(alt_normal_path(p, word)), normal_path(p, word))
+    monkeypatch.setattr(abelian, "DEFAULT_FUEL", 5)
+    conjugators = [entry.conjugator for entry in decompose_loop(loop, p).entries]
+    assert max(map(len, conjugators)) == 5
+    monkeypatch.setattr(abelian, "DEFAULT_FUEL", 4)
+    with pytest.raises(FuelError, match="no normal form within 4 steps from 'cbaa'"):
+        decompose_loop(loop, p)

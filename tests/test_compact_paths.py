@@ -120,46 +120,43 @@ def test_moves_round_trip_on_completed_systems(seed):
 @PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_scan_start_hints_find_the_first_redex(seed):
-    """Every hinted scan in peak elimination finds what a scan of the whole
-    word finds, so the certificates do not depend on the hints."""
+    """Every scan in peak elimination that starts at a hint or reads on from
+    stored states finds what a scan of the whole word finds, so the
+    certificates do not depend on the hints or the kept states."""
     rng = random.Random(seed)
     p = parse_presentation(SORTING_TEXT) if seed % 2 else four_rule_presentation()
     loop = random_loop(rng, p, tuple(bl.loop for bl in basis_loops(p)), max_len=8)
-    original = abelian.first_redex
-    hinted = []
+    original = abelian._scan
 
-    def checked(word, q, start=0):
-        found = original(word, q, start)
-        if start:
-            hinted.append(start)
-            assert found == original(word, q, 0), (word, start)
+    def checked(word, automaton, states, base):
+        resumed = base or len(states) > 1
+        found = original(word, automaton, states, base)
+        if resumed:
+            assert found == original(word, automaton, [0], 0), (word, base, states)
         return found
 
-    abelian.first_redex = checked
+    abelian._scan = checked
     try:
         cert = decompose_loop(loop, p)
     finally:
-        abelian.first_redex = original
+        abelian._scan = original
     assert verify_certificate(loop, cert, p).ok
 
 
-def test_scan_start_hints_are_used():
+def test_scan_start_hints_are_used(monkeypatch):
     p = parse_presentation(SORTING_TEXT)
-    original = abelian.first_redex
-    starts = []
+    original = abelian._scan
+    bases = []
 
-    def counting(word, q, start=0):
-        starts.append(start)
-        return original(word, q, start)
+    def counting(word, automaton, states, base):
+        bases.append(base)
+        return original(word, automaton, states, base)
 
     word = w("cbacbacba")
     loop = compose(normal_path(p, word), invert(alt_normal_path(p, word)))
-    abelian.first_redex = counting
-    try:
-        decompose_loop(loop, p)
-    finally:
-        abelian.first_redex = original
-    assert any(starts)
+    monkeypatch.setattr(abelian, "_scan", counting)
+    decompose_loop(loop, p)
+    assert any(bases)
 
 
 # ---------------------------------------------------------------------------

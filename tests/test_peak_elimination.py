@@ -36,6 +36,7 @@ from helpers import (
     four_rule_presentation,
     random_loop,
     random_mixed_path,
+    random_ordered_presentation,
     random_terminating_presentation,
     random_word,
 )
@@ -168,17 +169,17 @@ def test_a_branching_met_from_its_second_redex_takes_the_other_orientation():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The start hints of the scans peak elimination makes, one per frame
-    it expands."""
-    original = abelian.first_redex
-    starts = []
+    """The bases of the scans peak elimination makes, one per frame it
+    expands."""
+    original = abelian._scan
+    bases = []
 
-    def counting(word, q, start=0):
-        starts.append(start)
-        return original(word, q, start)
+    def counting(word, automaton, states, base):
+        bases.append(base)
+        return original(word, automaton, states, base)
 
-    monkeypatch.setattr(abelian, "first_redex", counting)
-    return starts
+    monkeypatch.setattr(abelian, "_scan", counting)
+    return bases
 
 
 def test_the_816_step_zigzag_certificate_is_pinned(scans):
@@ -224,21 +225,51 @@ def test_a_chain_of_far_disjoint_frames_meets_a_memoized_step():
     assert decompose_step(step, p) == decompose_step_oracle(step, p) != {}
 
 
-def test_fuel_counts_expanded_frames():
+def test_a_chain_link_whose_first_redex_starts_left_of_the_stack_base(scans):
+    """``r1`` at 3 in ``a c c b a a`` is near disjoint from the step ``r3``
+    at 4.  Its child, ``r3`` at 4 in ``a c c a a a``, is scanned from 1, and
+    its first redex ``r2`` at 1 is far disjoint.  After it the word is
+    ``a a a a``, whose first redex ``r3`` at 0 starts left of 1: the chain's
+    next scan starts afresh at 0."""
+    p = parse_presentation(
+        "generators: a b c\norder: shortlex a < b < c\nrules:\n"
+        " r1: b -> a\n r2: c c a -> a\n r3: a a -> a\n"
+    )
+    step = RewriteStep(tuple("accbaa"), p.rule_by_id["r3"], 4, 1)
+    assert decompose_step(step, p) == decompose_step_oracle(step, p) != {}
+    assert scans[:3] == [0, 1, 0]
+
+
+def deep_completed_presentation(rng):
+    """A completed random presentation whose longest left-hand side has at
+    least 3 letters, so that a redex can start two letters or more left of
+    a rewritten position."""
+    while True:
+        try:
+            q, _ = knuth_bendix(random_ordered_presentation(rng), fuel=12)
+        except FuelError:
+            continue
+        if q.index_automaton.depth >= 3:
+            return q
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_certificates_with_long_left_hand_sides_match_the_recursive_oracle(seed):
+    """Entries, conjugators and element, on random loops and their
+    composites, where chains restart their scans and entry bases share
+    their descents."""
+    rng = random.Random(seed)
+    q = deep_completed_presentation(rng)
+    basis = tuple(bl.loop for bl in basis_loops(q))
+    for _ in range(3):
+        check_against_oracle(random_loop(rng, q, basis, max_len=8), q)
+
+
+def test_fuel_counts_expanded_frames(scans):
     p = sorting_presentation()
     loop = zigzag(p, tuple("cbacba"))
-    original = abelian.first_redex
-    scans = []
-
-    def counting(word, q, start=0):
-        scans.append(start)
-        return original(word, q, start)
-
-    abelian.first_redex = counting
-    try:
-        expected = decompose_loop(loop, p)
-    finally:
-        abelian.first_redex = original
+    expected = decompose_loop(loop, p)
     frames = len(scans)
     assert frames > 1
     assert decompose_loop(loop, p, fuel=frames) == expected
