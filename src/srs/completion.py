@@ -10,23 +10,16 @@ budget, is convergent.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
 from .errors import FuelError, NotTerminatingError, UnorientableError
-from .presentation import (
-    GREATER,
-    LESS,
-    Presentation,
-    Rule,
-    Word,
-    _weight,
-    compare_words,
-)
+from .presentation import GREATER, LESS, Presentation, Rule, Word, compare_words
 from .rewrite import _matches, _reduce, check_termination
 # pinned by srsbench/tests/test_srsbench.py::test_tracing_srs_counts_and_restores
 from .rewrite import normalize  # noqa: F401
-from .critical import _branchings_in_order, words_up_to
+from .critical import CriticalBranching, _pair_branchings, words_up_to
 
 DEFAULT_RULE_FUEL = 256
 
@@ -43,7 +36,7 @@ class CompletionEvent:
 
 
 def _with_rules(p: Presentation, rules: list[Rule]) -> Presentation:
-    return Presentation(p.generators, tuple(rules), p.order)
+    return Presentation._unchecked(p.generators, tuple(rules), p.order)
 
 
 def _orient(p: Presentation, u: Word, v: Word) -> tuple[Word, Word]:
@@ -62,41 +55,44 @@ def knuth_bendix(
 ) -> tuple[Presentation, tuple[CompletionEvent, ...]]:
     """Complete a terminating presentation into a convergent one.
 
-    After every addition the critical branchings of the inter-reduced rule
-    set are walked again in their canonical order (that of
-    ``critical_branchings``), and the first one whose two sides reach
-    distinct normal forms gives the next rule; the walk stops there, so the
-    result is deterministic and only the branchings read are enumerated.
-    The branchings of each pair of rules are built once per run and built
-    again only when one of the two rules changes.
+    Each walk reads the critical branchings of the inter-reduced rule set
+    in their canonical order (that of ``critical_branchings``), and the
+    first one whose two sides reach distinct normal forms gives the next
+    rule; the walk stops there, so the result is deterministic.
 
-    A walk re-reads only what the rules added since the last walk can
-    change.  An added rule can move a side's leftmost normal form, so a
-    branching joinable under one rule set can be unjoinable under the next
-    (on ``r1: a b a -> b a``, ``r2: b b -> b a``, the r1/r1 branching at
-    ``a b a b a`` does so once ``b a b -> b a a`` is added).  But in an
-    inter-reduced set the leftmost path from a word ``w`` changes only if an
-    added left-hand side occurs in one of its words: as a new redex, or in
-    the left-hand side of a rule used there (which is removed) or in its
-    right-hand side (which is reduced).  No word on the path is heavier than
-    ``w`` (``_weight``), so neither is that left-hand side.  Walks therefore
-    keep their normal forms by weight and drop those at least as heavy as
-    the lightest left-hand side added since; the rest keep their path,
-    normal form and step count.  Only walks write the table, as
-    ``simplify``'s rule sets are not inter-reduced; and ``simplify`` leaves
-    alone a right-hand side lighter than every left-hand side added since
-    the last walk, which for the same reason is irreducible.
+    Completion reads again only what an added rule can change.  An added
+    rule can move a side's leftmost normal form, so a branching joinable
+    under one rule set can be unjoinable under the next (on ``r1: a b a ->
+    b a``, ``r2: b b -> b a``, the r1/r1 branching at ``a b a b a`` does so
+    once ``b a b -> b a a`` is added).  But in an inter-reduced set the
+    leftmost path from a word changes only if an added left-hand side
+    occurs in one of its words: as a new redex, or in the left-hand side of
+    a rule used there (which is removed) or in its right-hand side (which
+    is reduced).  An added left-hand side that is removed again holds one
+    added after it that stays.  So a branching found joinable is settled
+    with the words of its two leftmost paths, and waits again only when a
+    left-hand side added since occurs in one of them; a branching of a
+    removed or replaced rule is gone, and the pairs of an added or replaced
+    rule wait to be built.  Waiting branchings and pairs are kept by
+    (rule1, rule2, offset), each rule by the place it was appended at,
+    which orders the rules as their indices do: rules are only appended,
+    removed, or given a new right-hand side in place.  Every branching
+    before the first waiting one is settled, hence joinable, so a walk that
+    resumes there finds the first unjoinable branching of a walk from the
+    start, and the unjoinable one waits on at the front.
 
-    ``simplify`` does what a loop that starts again after each change does,
-    in the same order, with one presentation per rule set.  A removal makes
-    no other left-hand side reducible, so the collapse scan goes on at the
-    same place with the presentation of the rest, which reduced the removed
-    rule's sides; an added rule may occur in any left-hand side, so the
-    scan starts again.  A left-hand side is reducible by the others when
-    the automaton reads in it an occurrence other than its own rule's at 0
-    (``_matches``).  Reducibility depends on the left-hand sides alone,
-    so a reduced right-hand side removes no rule and leaves those read
-    before it irreducible: one pass does.
+    Inter-reduction (``simplify``) does what a loop that starts again after
+    each change does, in the same order, with one presentation per rule set
+    it reduces against.  Before an addition the set is inter-reduced, and
+    an added rule's sides are normal forms of the rules present then, so a
+    left-hand or right-hand side is reducible exactly when a left-hand side
+    added since the last walk (every input rule, before the first) other
+    than its own occurs in it.  A removal makes no other side reducible, so
+    the collapse scan goes on at the same place; an added rule may occur in
+    any left-hand side, so the scan starts again.  Reducibility depends on
+    the left-hand sides alone, so a reduced right-hand side removes no rule
+    and leaves those read before it irreducible: one pass does.  Occurrence
+    tests read words as strings of one character per letter.
 
     ``fuel`` bounds the number of added rules; exceeding it raises
     FuelError.  Every added rule's sides are congruent in the input
@@ -110,10 +106,14 @@ def knuth_bendix(
     used_ids = {r.rule_id for r in rules}
     counter = itertools.count(1)
     added = 0
-    # walk normal forms by weight, and the weight of the lightest lhs added
-    # since the last walk (0 before the first: no right-hand side is skipped)
-    forms: dict[int, dict[Word, Word]] = {}
-    lightest = 0
+    code = {g: chr(k) for k, g in enumerate(p.generators, 1)}  # chr(0) separates words
+    # per rule id: its place in the walk order and its sides as text
+    place = {r.rule_id: k for k, r in enumerate(rules)}
+    sides = {r.rule_id: (_text(code, r.lhs), _text(code, r.rhs)) for r in rules}
+    # since the last walk: the lhs of the added rules still present, and the
+    # ids of the rules added, removed or given a new rhs
+    fresh = {rid: lhs for rid, (lhs, _) in sides.items()}
+    touched = set(fresh)
 
     def fresh_id() -> str:
         while True:
@@ -123,70 +123,138 @@ def knuth_bendix(
                 return cand
 
     def add_rule(u: Word, v: Word, overlap: Word | None):
-        nonlocal added, lightest
+        nonlocal added
         lhs, rhs = _orient(p, u, v)
         added += 1
         if added > fuel:
             raise FuelError(f"completion did not finish within {fuel} added rules")
-        lightest = min(lightest, _weight(p.order, lhs))
         rule = Rule(fresh_id(), lhs, rhs)
         rules.append(rule)
+        place[rule.rule_id] = len(place)
+        sides[rule.rule_id] = _text(code, lhs), _text(code, rhs)
+        fresh[rule.rule_id] = sides[rule.rule_id][0]
+        touched.add(rule.rule_id)
         trace.append(CompletionEvent("add", rule.rule_id, lhs, rhs, overlap))
 
     def simplify() -> Presentation:
         """Inter-reduce ``rules``; returns their presentation."""
-        # collapse rules whose lhs the others reduce, one read of each lhs
-        current = _with_rules(p, rules)
+        current = None  # the presentation of ``rules`` as they are, once made
         idx = 0
         while idx < len(rules):
-            if all(m == (0, idx) for m in _matches(rules[idx].lhs, current.index_automaton)):
+            rule = rules[idx]
+            lhs = sides[rule.rule_id][0]
+            if not any(u in lhs for rid, u in fresh.items() if rid != rule.rule_id):
                 idx += 1
                 continue
-            rule = rules.pop(idx)
+            del rules[idx]
+            fresh.pop(rule.rule_id, None)
+            touched.add(rule.rule_id)
             current = _with_rules(p, rules)
             u = _reduce(rule.lhs, current)[0]
             trace.append(CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs))
             v = _reduce(rule.rhs, current)[0]
             if u != v:
                 add_rule(u, v, None)
-                current = _with_rules(p, rules)
+                current = None
                 idx = 0
-        # normalize right-hand sides against the full set, in one pass
+        current = current or _with_rules(p, rules)
         for idx, rule in enumerate(rules):
-            if _weight(p.order, rule.rhs) < lightest:
-                continue
-            rhs = _reduce(rule.rhs, current)[0]
-            if rhs != rule.rhs:
+            if any(u in sides[rule.rule_id][1] for u in fresh.values()):
+                rhs = _reduce(rule.rhs, current)[0]
                 rules[idx] = Rule(rule.rule_id, rule.lhs, rhs)
+                sides[rule.rule_id] = sides[rule.rule_id][0], _text(code, rhs)
+                touched.add(rule.rule_id)
                 trace.append(CompletionEvent("simplify", rule.rule_id, rule.lhs, rhs))
                 current = _with_rules(p, rules)
         return current
 
-    def walk_normal_form(word: Word) -> Word:
-        group = forms.setdefault(_weight(p.order, word), {})
-        nf = group.get(word)
-        if nf is None:
-            nf = group[word] = _reduce(word, current)[0]
-        return nf
+    def path_text(word: Word, moves: list) -> str:
+        """The words of the path from ``word`` along ``moves`` as text."""
+        text = _text(code, word)
+        words = [text]
+        for rule, pos, _ in moves:
+            lhs, rhs = sides[rule.rule_id]
+            text = text[:pos] + rhs + text[pos + len(lhs) :]
+            words.append(text)
+        return "\0".join(words)
 
-    pairs: dict = {}
+    def wait(i: int, j: int, offset: int, r1: Rule, r2: Rule, b: CriticalBranching | None):
+        heapq.heappush(waiting, (i, j, offset, next(tie), r1, r2, b))
+
+    # waiting: (place of rule1, place of rule2, offset, tie, rule1, rule2,
+    # branching), or offset -1 and no branching for a pair to build;
+    # settled: (rule1 id, rule2 id, branching, words of its paths)
+    waiting: list[tuple] = []
+    settled: list[tuple] = []
+    tie = itertools.count()
     current = simplify()
     while True:
-        for weight in [k for k in forms if k >= lightest]:
-            del forms[weight]
-        lightest = float("inf")
+        live = {r.rule_id: r for r in rules}
+        tests = list(fresh.values())
+        kept = []
+        for entry in settled:
+            id1, id2, b, words = entry
+            if id1 in touched or id2 in touched:
+                continue
+            for u in tests:
+                if u in words:
+                    wait(place[id1], place[id2], b.offset, b.rule1, b.rule2, b)
+                    break
+            else:
+                kept.append(entry)
+        settled = kept
+        # the pairs of added and replaced rules, each once, where one lhs
+        # may overlap the other: a proper overlap of C on R needs a prefix
+        # of C to end R, one of R on C a suffix of C to start R
+        done = set()
+        for c in rules:
+            if c.rule_id not in touched:
+                continue
+            done.add(c.rule_id)
+            lhs = sides[c.rule_id][0]
+            heads = tuple(lhs[:k] for k in range(1, len(lhs)))
+            tails = tuple(lhs[k:] for k in range(1, len(lhs)))
+            for r in rules:
+                if r.rule_id in done and r is not c:
+                    continue
+                other = sides[r.rule_id][0]
+                if lhs in other or other.endswith(heads):
+                    wait(place[r.rule_id], place[c.rule_id], -1, r, c, None)
+                if r is not c and (other in lhs or other.startswith(tails)):
+                    wait(place[c.rule_id], place[r.rule_id], -1, c, r, None)
+        fresh.clear()
+        touched.clear()
         pending = None
-        for b in _branchings_in_order(current, pairs):
-            left, right = b.targets
-            nf_left = walk_normal_form(left)
-            nf_right = walk_normal_form(right)
-            if nf_left != nf_right:
-                pending = (nf_left, nf_right, b.overlap)
-                break
+        walked = []
+        while waiting:
+            i, j, _, _, r1, r2, b = waiting[0]
+            if live.get(r1.rule_id) is not r1 or live.get(r2.rule_id) is not r2:
+                heapq.heappop(waiting)
+            elif b is None:
+                heapq.heappop(waiting)
+                for b in _pair_branchings(r1, r2, i, j):
+                    wait(i, j, b.offset, r1, r2, b)
+            else:
+                nf_left, left = _reduce(b.targets[0], current)
+                nf_right, right = _reduce(b.targets[1], current)
+                if nf_left != nf_right:
+                    pending = (nf_left, nf_right, b.overlap)
+                    break
+                heapq.heappop(waiting)
+                walked.append((b, left, right))
         if pending is None:
             return current, tuple(trace)
+        # the words of the paths, read while their rules are those walked
+        for b, left, right in walked:
+            words = path_text(b.targets[0], left) + "\0" + path_text(b.targets[1], right)
+            settled.append((b.rule1.rule_id, b.rule2.rule_id, b, words))
         add_rule(pending[0], pending[1], pending[2])
         current = simplify()
+
+
+def _text(code: dict[str, str], w: Word) -> str:
+    """``w`` as a string of one character per letter."""
+    return "".join([code[g] for g in w])
 
 
 # ---------------------------------------------------------------------------

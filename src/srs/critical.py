@@ -10,7 +10,6 @@ and then confluent by Newman's lemma.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,39 +73,33 @@ def _overlaps(l1: Word, l2: Word, same_rule: bool) -> tuple[tuple[int, Word, str
     return tuple(found)
 
 
-def _branchings_in_order(
-    p: Presentation, pairs: dict[tuple[str, str], tuple]
-) -> Iterator[CriticalBranching]:
-    """Critical branchings in the order (rule1 index, rule2 index, offset),
-    each unordered redex pair once, at its first place in that order.  Only
-    two rules with the same lhs meet at offset 0 in both orders (each
-    contains the other at 0), so the second of those is skipped.
-
-    ``pairs`` keeps, under the two rule ids, the two ``Rule`` objects and
-    the pair's branchings.  An entry is read again while both rules are
-    those same objects; a reduced right-hand side makes a new ``Rule``, so
-    that rule's pairs are built again.  A caller that walks the branchings
-    of many rule sets of one run passes the same dict to all.
-    """
-    for i, r1 in enumerate(p.rules):
-        for j, r2 in enumerate(p.rules):
-            entry = pairs.get((r1.rule_id, r2.rule_id))
-            if entry is None or entry[0] is not r1 or entry[1] is not r2:
-                built = [CriticalBranching(r1, r2, *o) for o in _overlaps(r1.lhs, r2.lhs, i == j)]
-                entry = pairs[r1.rule_id, r2.rule_id] = (r1, r2, built)
-            for b in entry[2]:
-                if b.offset or i < j or r1.lhs != r2.lhs:
-                    yield b
+def _pair_branchings(r1: Rule, r2: Rule, i: int, j: int) -> list[CriticalBranching]:
+    """The critical branchings of ``r1`` at place ``i`` in the rule order
+    against ``r2`` at place ``j``, by offset.  Only two rules with the same
+    lhs meet at offset 0 in both orders (each contains the other at 0), so
+    the second of those, ``i > j``, is skipped."""
+    return [
+        CriticalBranching(r1, r2, *o)
+        for o in _overlaps(r1.lhs, r2.lhs, i == j)
+        if o[0] or i < j or r1.lhs != r2.lhs
+    ]
 
 
 def critical_branchings(p: Presentation) -> tuple[CriticalBranching, ...]:
     """All critical branchings, each unordered redex pair reported once, in
     the order (rule1 index, rule2 index, offset).
 
-    Completion walks the same sequence lazily (``_branchings_in_order``) and
-    stops at its first unjoinable branching instead of listing them all.
+    Completion builds the same branchings pair by pair (``_pair_branchings``)
+    as its walk reaches them, and stops at its first unjoinable one instead
+    of listing them all.
     """
-    return tuple(_branchings_in_order(p, {}))
+    rules = p.rules
+    return tuple(
+        b
+        for i, r1 in enumerate(rules)
+        for j, r2 in enumerate(rules)
+        for b in _pair_branchings(r1, r2, i, j)
+    )
 
 
 @dataclass(frozen=True)
@@ -248,10 +241,12 @@ def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
     letters = 0
     for root in words_up_to(p.generators, max_len):
         # depth first with an explicit stack, since reductions can be longer
-        # than the interpreter's recursion limit; an entry's children are
+        # than the interpreter's recursion limit; an entry's reducts are
         # listed on its first visit, in (position, rule index) order (which
         # decides the cycle a NotTerminatingError names), and its set is
-        # formed on its second
+        # formed on its second.  The stack keeps each distinct child once
+        # and reads the children in the order it first read them when it
+        # kept one entry per redex: by their last redex, from the right
         stack: list[tuple[Word, tuple[Word, ...] | None]] = [(root, None)]
         open_words: set[Word] = set()
         while stack:
@@ -265,19 +260,20 @@ def brute_force_confluence(p: Presentation, max_len: int) -> BruteForceReport:
                         f"the reducts of the words up to {''.join(root) or 'ε'!r} hold "
                         f"more than {DEFAULT_FUEL} letters, too many to search"
                     )
-                children = tuple(
+                reducts = [
                     w[:pos] + rules[r].rhs + w[pos + len(rules[r].lhs) :]
                     for pos, r in sorted(_matches(w, index))
-                )
-                cycle = next((c for c in children if c in open_words), None)
+                ]
+                cycle = next((c for c in reducts if c in open_words), None)
                 if cycle is not None:
                     raise NotTerminatingError(
                         f"rewriting from {''.join(root) or 'ε'!r} returns to "
                         f"{''.join(cycle) or 'ε'!r}"
                     )
+                children = tuple(dict.fromkeys(reversed(reducts)))
                 open_words.add(w)
                 stack.append((w, children))
-                stack.extend((c, None) for c in children if c not in nf_sets)
+                stack.extend((c, None) for c in reversed(children) if c not in nf_sets)
                 continue
             open_words.discard(w)
             nf_sets[w] = (

@@ -148,6 +148,19 @@ class Presentation:
                         f"rule {rule.rule_id}: unknown generator {g!r}"
                     )
 
+    @classmethod
+    def _unchecked(
+        cls, generators: tuple[str, ...], rules: tuple[Rule, ...], order: OrderSpec
+    ) -> Presentation:
+        """The presentation of parts known to pass ``__post_init__``, built
+        without its checks: completion's rule sets, whose rules are words
+        over a validated alphabet under unused ids.  Input from outside goes
+        through the constructor."""
+        p = cls.__new__(cls)
+        for name, value in (("generators", generators), ("rules", rules), ("order", order)):
+            object.__setattr__(p, name, value)
+        return p
+
     def __getstate__(self) -> dict:
         # the private fields, _normal_forms and _cache, are caches: a pickle
         # leaves them out

@@ -160,12 +160,18 @@ def comparison_path(
 ) -> Path:
     """Canonical path from a word to its double translation, built letter by
     letter through the normal form each generator shares with its round
-    trip, in one pass."""
+    trip, in one pass; each call builds the round trip and segment of a
+    generator once."""
     moves: list[Move] = []
     target: list[str] = []
+    segments: dict[str, tuple[Word, tuple[Move, ...]]] = {}
     for g in w:
-        g_image = translate_word(translate_word((g,), m.forward_map), m.backward_map)
-        moves += shift_moves(_rule_image(sigma, (g,), g_image).moves, len(target))
+        entry = segments.get(g)
+        if entry is None:
+            g_image = translate_word(translate_word((g,), m.forward_map), m.backward_map)
+            entry = segments[g] = g_image, _rule_image(sigma, (g,), g_image).moves
+        g_image, segment = entry
+        moves += shift_moves(segment, len(target))
         target += g_image
     # each segment is a checked _rule_image whiskered by the translated context
     return Path._derived(w, moves, tuple(target))

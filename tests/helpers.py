@@ -40,7 +40,7 @@ from srs import (
     whisker,
 )
 from srs.abelian import CertificateEntry, DecompositionCertificate
-from srs.completion import _orient, _with_rules
+from srs.completion import _orient
 from srs.critical import CONTAINMENT, PROPER, BranchingFailure
 
 AS_TEXT = "generators: a\norder: shortlex a\nrules:\n r: a a -> a\n"
@@ -296,7 +296,12 @@ def knuth_bendix_oracle(
 ) -> tuple[Presentation, tuple[CompletionEvent, ...]]:
     """Completion that lists and sorts every critical branching of the rule
     set after each added rule (``critical_branchings_oracle``) and then
-    walks the list: the loop the lazy in-order walk replaced."""
+    walks the list: the loop the lazy in-order walk replaced.  Every rule
+    set is a validated ``Presentation``."""
+
+    def with_rules(p: Presentation, rules: list[Rule]) -> Presentation:
+        return Presentation(p.generators, tuple(rules), p.order)
+
     if not check_termination(p).ok:
         raise NotTerminatingError("completion requires a terminating presentation")
 
@@ -327,11 +332,11 @@ def knuth_bendix_oracle(
         changed = True
         while changed:
             changed = False
-            current = _with_rules(p, rules)
+            current = with_rules(p, rules)
             for idx, rule in enumerate(rules):
                 if all(r.rule_id == rule.rule_id for r in find_redexes(rule.lhs, current)):
                     continue
-                q = _with_rules(p, rules[:idx] + rules[idx + 1 :])
+                q = with_rules(p, rules[:idx] + rules[idx + 1 :])
                 u, _ = normalize(rule.lhs, q)
                 del rules[idx]
                 trace.append(CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs))
@@ -352,7 +357,7 @@ def knuth_bendix_oracle(
 
     simplify()
     while True:
-        current = _with_rules(p, rules)
+        current = with_rules(p, rules)
         pending = None
         for b in critical_branchings_oracle(current):
             left = RewriteStep(b.overlap, b.rule1, 0, 1).target

@@ -47,6 +47,7 @@ CASES = {
     "complete_simplify": ["complete", "simplify.pres"],
     "complete_remove": ["complete", "remove.pres"],
     "complete_out_of_fuel": ["complete", "cyclic.pres", "--fuel", "3"],
+    "complete_braid_out_of_fuel": ["complete", "braid.pres", "--fuel", "64"],
     "pi_basis": ["pi-basis", "as.pres"],
     "pi_basis_eight": ["pi-basis", "two_done.pres"],
     "pi_basis_not_convergent": ["pi-basis", "two.pres"],

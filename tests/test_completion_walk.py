@@ -1,8 +1,9 @@
 """Completion walks the critical branchings in order and stops at the first
-unjoinable one: the lazy walk lists what the sort-based enumeration listed,
-completion keeps the rules and traces of the loop that re-listed every
-branching after each added rule, and a joinable branching is checked again
-whenever an added rule can change it."""
+unjoinable one: the enumeration lists what the sort-based enumeration
+listed, completion keeps the rules and traces of the loop that re-listed
+every branching after each added rule, and a settled branching is checked
+again exactly when an added left-hand side occurs in the words of its
+paths."""
 
 import hashlib
 import itertools
@@ -29,8 +30,8 @@ from srs import (
     normalize,
     parse_presentation,
 )
-from srs.critical import CONTAINMENT, PROPER, _branchings_in_order
-from srs.presentation import IndexAutomaton, _weight
+from srs.critical import CONTAINMENT, PROPER
+from srs.presentation import IndexAutomaton, Word, _weight
 from srs.rewrite import _matches
 from helpers import (
     critical_branchings_oracle,
@@ -43,6 +44,7 @@ from helpers import (
 )
 
 INPUTS = FilePath(__file__).resolve().parent.parent / "srsbench" / "inputs"
+GOLDEN_INPUTS = FilePath(__file__).resolve().parent / "golden" / "inputs"
 
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -143,8 +145,9 @@ def test_completion_matches_oracle_on_random_systems(seed):
 @given(st.integers(0, 10**6))
 def test_completion_matches_oracle_on_random_weighted_systems(seed):
     """Up to five rules over up to three letters, under shortlex or weighted
-    shortlex: the normal forms kept across walks by weight, and the
-    right-hand sides left alone, give the oracle's rules, trace or error."""
+    shortlex: the branchings left settled across walks, and the sides that
+    no added left-hand side occurs in, give the oracle's rules, trace or
+    error."""
     p = random_ordered_presentation(random.Random(seed))
     assert outcome(knuth_bendix, p, 24) == outcome(knuth_bendix_oracle, p, 24)
 
@@ -215,9 +218,8 @@ def test_joinable_branching_becomes_unjoinable_after_an_added_rule():
 def test_lighter_added_rule_flips_a_branching_under_weights():
     """Under weights b=3, a=1 with b < a (shortlex would orient r1 the other
     way), the r2/r2 branching at a b a b a has sides of weight 6 and is
-    joinable until completion adds kb1, whose lhs a a b weighs 5; then it
-    gives completion's second rule.  Normal forms kept across walks are
-    therefore dropped down to the weight of the lightest added lhs."""
+    joinable until completion adds kb1, whose lhs a a b weighs 5 and occurs
+    in the path of its left side; then it gives completion's second rule."""
     text = "generators: a b\norder: weights b=3 a=1\nrules:\n r1: b b -> a a\n r2: a b a -> a a\n"
     before = parse_presentation(text)
     after = parse_presentation(text + " kb1: a a b -> b a a\n")
@@ -242,28 +244,91 @@ def test_lighter_added_rule_flips_a_branching_under_weights():
         ("add", "kb2", w("baaa"), w("aaa"), w("ababa")),
     ]
 
-def test_pairs_are_built_again_when_a_rule_changes():
-    """A shared dict gives back a pair's branchings while both rules are the
-    same objects; a reduced right-hand side is a new rule, and its pairs are
-    built again, with the new sides."""
-    text = "generators: a b\norder: shortlex a < b\nrules:\n r1: a b a -> b a\n r2: b b -> b a\n"
-    p = parse_presentation(text)
-    pairs: dict = {}
-    first = list(_branchings_in_order(p, pairs))
-    assert all(a is b for a, b in zip(first, _branchings_in_order(p, pairs), strict=True))
-    q = Presentation(p.generators, (p.rules[0], Rule("r2", w("bb"), w("a"))), p.order)
-    found = list(_branchings_in_order(q, pairs))
-    assert found == list(critical_branchings(q)) != first
-    assert [b.targets for b in found] == [b.targets for b in critical_branchings(q)]
+
+@pytest.fixture
+def walk_sets(monkeypatch):
+    """Records each word completion reduces, with the ids of the rules it
+    is reduced under."""
+    reduced: list[tuple[Word, frozenset[str]]] = []
+    reduce = srs.completion._reduce
+
+    def recording_reduce(word, q, *args):
+        reduced.append((word, frozenset(r.rule_id for r in q.rules)))
+        return reduce(word, q, *args)
+
+    monkeypatch.setattr(srs.completion, "_reduce", recording_reduce)
+    return reduced
+
+
+def read_under(reduced, targets):
+    """The rule sets under which both targets of a branching were reduced,
+    left side then right side, in order."""
+    return [
+        rules
+        for (left, rules), (right, again) in zip(reduced, reduced[1:])
+        if (left, right) == targets and rules == again
+    ]
+
+
+def test_a_branching_with_an_added_lhs_in_its_paths_is_read_again_and_flips(walk_sets):
+    """The r1/r1 branching at a b a b a is settled in the first walk with
+    the paths b a b a, b b a, b a a and a b b a, a b a a, b a a; kb1's lhs
+    b a b occurs in b a b a, so the second walk reads it again, finds it
+    unjoinable and adds kb2 from it.  An unjoinable branching waits on at
+    the front, and the third walk reads it first."""
+    p = parse_presentation(
+        "generators: a b\norder: shortlex a < b\nrules:\n r1: a b a -> b a\n r2: b b -> b a\n"
+    )
+    _, trace = knuth_bendix(p)
+    assert [(e.kind, e.rule_id, e.lhs, e.overlap) for e in trace[:2]] == [
+        ("add", "kb1", w("bab"), w("bbb")),
+        ("add", "kb2", w("baaa"), w("ababa")),
+    ]
+    assert read_under(walk_sets, (w("baba"), w("abba"))) == [
+        {"r1", "r2"},
+        {"r1", "r2", "kb1"},
+        {"r1", "r2", "kb1", "kb2"},
+    ]
+
+
+def test_a_branching_is_read_again_only_when_an_added_lhs_occurs_in_its_paths(walk_sets):
+    """The kb1/kb1 branching at b b b, with sides a a b and b a a, is
+    unjoinable in the third walk and settled in the fourth, with the paths
+    a a b, ε and b a a, ε.  kb4's lhs b a b occurs in neither, so the fifth
+    walk passes it by; kb5's lhs b a occurs in b a a, so the sixth reads it
+    again, and it stays joinable."""
+    p = parse_presentation(
+        "generators: a b\norder: shortlex a < b\nrules:\n r1: b b b ->\n r2: a a b ->\n"
+    )
+    completed, trace = knuth_bendix(p)
+    assert (completed, trace) == knuth_bendix_oracle(p)
+    assert [(e.kind, e.rule_id, e.lhs, e.rhs) for e in trace] == [
+        ("add", "kb1", w("bb"), w("aa")),
+        ("remove", "r1", w("bbb"), ()),
+        ("add", "kb2", w("aaaa"), w("b")),
+        ("add", "kb3", w("baa"), ()),
+        ("add", "kb4", w("bab"), w("aaa")),
+        ("add", "kb5", w("ba"), w("ab")),
+        ("remove", "kb3", w("baa"), ()),
+        ("remove", "kb4", w("bab"), w("aaa")),
+    ]
+    assert read_under(walk_sets, (w("aab"), w("baa"))) == [
+        {"r2", "kb1", "kb2"},
+        {"r2", "kb1", "kb2", "kb3"},
+        {"r2", "kb1", "kb2", "kb5"},
+    ]
 
 
 def test_b4_completion_counts_and_trace(monkeypatch):
     """B4 under s4 < s2 < s1 < s3 completes in a 119-event trace.  Its walks
-    and inter-reductions reduce 1,640 words, build 331 branchings and 120
-    index automata; rebuilding every branching and reducing both of its
-    sides on every walk took 5,708 reductions and 2,001 branchings for the
-    same trace, and an inter-reduction that started again after each change
-    took 1,651 reductions and 164 automata."""
+    and inter-reductions reduce 866 words, build 331 branchings and 82
+    index automata.  For the same trace, rebuilding every branching and
+    reducing both of its sides on every walk took 5,708 reductions and
+    2,001 branchings; an inter-reduction that started again after each
+    change took 1,651 reductions and 164 automata; walks that kept normal
+    forms by weight and started again at the first branching, with an
+    inter-reduction that read every left-hand side, took 1,640 reductions
+    and 120 automata."""
     p = parse_presentation((INPUTS / "coxeter" / "B4.pres").read_text(encoding="utf-8"))
     (q,) = [q for q in precedences(p) if q.order.precedence == ("s4", "s2", "s1", "s3")]
     counts = {"reductions": 0, "branchings": 0, "automata": 0}
@@ -286,12 +351,45 @@ def test_b4_completion_counts_and_trace(monkeypatch):
     counted(CriticalBranching, "branchings")
     counted(IndexAutomaton, "automata")
     completed, trace = knuth_bendix(q)
-    assert counts == {"reductions": 1640, "branchings": 331, "automata": 120}
+    assert counts == {"reductions": 866, "branchings": 331, "automata": 82}
     assert (len(trace), len(completed.rules)) == (119, 25)
     events = repr([(e.kind, e.rule_id, e.lhs, e.rhs, e.overlap) for e in trace])
     assert hashlib.sha256(events.encode()).hexdigest() == (
         "ce934d0c99d95459e6e3ff4440c3e8f7bcffd8df7550511aeef14ce1ea38d7fb"
     )
+
+
+def test_braid_completion_work_counts(monkeypatch):
+    """``b a b -> a b a`` under shortlex a < b has no finite completion, so
+    ``complete braid.pres --fuel 64`` runs out of fuel.  Up to there it
+    reduces 258 words, builds 65 index automata and validates no rule set;
+    walks that started again at the first branching, with an inter-reduction
+    that read every left-hand side, took 323 reductions, 65 automata and 65
+    validations."""
+    p = parse_presentation((GOLDEN_INPUTS / "braid.pres").read_text(encoding="utf-8"))
+    counts = {"reductions": 0, "automata": 0, "validations": 0}
+    reduce = srs.completion._reduce
+    init = IndexAutomaton.__init__
+    validate = Presentation.__post_init__
+
+    def counted_reduce(*args):
+        counts["reductions"] += 1
+        return reduce(*args)
+
+    def counted_init(self, *args):
+        counts["automata"] += 1
+        init(self, *args)
+
+    def counted_validate(self):
+        counts["validations"] += 1
+        validate(self)
+
+    monkeypatch.setattr(srs.completion, "_reduce", counted_reduce)
+    monkeypatch.setattr(IndexAutomaton, "__init__", counted_init)
+    monkeypatch.setattr(Presentation, "__post_init__", counted_validate)
+    with pytest.raises(FuelError, match="within 64 added rules"):
+        knuth_bendix(p, 64)
+    assert counts == {"reductions": 258, "automata": 65, "validations": 0}
 
 
 def test_a_right_hand_side_is_reduced_by_the_rules_already_reduced():

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,31 @@ def test_brute_force_counts_the_letters_of_the_reducts_it_visits(monkeypatch):
     monkeypatch.setattr(srs.critical, "DEFAULT_FUEL", 6960)
     with pytest.raises(FuelError, match="up to 'e' hold more than 6960 letters"):
         brute_force_confluence(p, 1)
+
+
+def test_brute_force_keeps_each_distinct_child_once(monkeypatch):
+    """On ``a -> a a`` the word a^n has n redexes and one child, a^(n+1).
+    The search keeps that child once, so when it lists the reducts of a^n
+    its stack holds the n - 1 words before it, each with its one child; one
+    entry per redex would hold about n^2/2 words of n letters, which filled
+    memory before the letter budget fired.  With a budget of 5,050 letters
+    the search reads a to a^100, and a^101 raises."""
+    import srs.critical
+
+    p = parse_presentation("generators: a\norder: shortlex a\nrules:\n r: a -> a a\n")
+    held = []
+    matches = srs.critical._matches
+
+    def counting(w, index):
+        stack = sys._getframe(1).f_locals["stack"]
+        held.append((len(w), len(stack), sum(len(children or (c,)) for c, children in stack)))
+        return matches(w, index)
+
+    monkeypatch.setattr(srs.critical, "_matches", counting)
+    monkeypatch.setattr(srs.critical, "DEFAULT_FUEL", 5050)
+    with pytest.raises(FuelError, match="up to 'a' hold more than 5050 letters"):
+        brute_force_confluence(p, 1)
+    assert held == [(0, 0, 0)] + [(n, n - 1, n - 1) for n in range(1, 101)]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
