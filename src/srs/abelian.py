@@ -31,9 +31,9 @@ from .rewrite import (
     Move,
     Path,
     RewriteStep,
+    _descent,
     _out_of_fuel,
     _reduce,
-    _scan,
     normal_form,
 )
 from .critical import _require_convergent, critical_branchings, generating_confluence
@@ -198,55 +198,47 @@ def _peak_entries(
     every key of the chain.  The frames expanded, the scans and the point
     where fuel runs out are those of visiting each link as a frame.
 
-    A chain descends on one word edited in place, as ``normalize`` does,
-    keeping ``_scan``'s stack of automaton states from a base position on.
-    After a link rewrites b, the states up to ``b_pos`` still hold and the
-    next scan reads on from there, while the next link's first redex starts
-    at ``b_pos - maxlhs + 1`` or later (see below).  When that lies left of
-    the stack's base, the stack starts afresh there, from state 0.
-
-    Each child carries a position no redex of its source starts before, so
-    the scan for its b begins there.  A child's source keeps the prefix of
-    its parent's source before ``b_pos``, which holds no redex, so a redex
-    starting at ``q < b_pos`` must reach past a rewritten letter and starts
-    at most ``maxlhs - 1`` positions left of it, where ``maxlhs`` is
-    ``p.index_automaton.depth``.  That gives ``b_pos - maxlhs + 1`` after
+    A chain descends on one word edited in place, along ``rewrite._descent``
+    from the frame's start hint.  Each child carries a position no redex of
+    its source starts before, so the scan for its b begins there.  A child's
+    source keeps the prefix of its parent's source before ``b_pos``, which
+    holds no redex, so a redex starting at ``q < b_pos`` must reach past a
+    rewritten letter and starts at most ``maxlhs - 1`` positions left of
+    it, where ``maxlhs`` is ``p.index_automaton.depth``.  That gives ``b_pos - maxlhs + 1`` after
     the step b or inside a whiskered completion (rewritten from ``b_pos``
     on), and ``min(b_pos, pos - maxlhs + 1)`` after the frame's own step
     (rewritten from ``pos`` on, prefix up to ``pos`` kept), each at least 0.
     The hint changes no result, so the memo key leaves it out.
     """
-    automaton, rules = p.index_automaton, p.rules
-    window = automaton.depth - 1
+    rules = p.rules
+    window = p.index_automaton.depth - 1
     memo: dict[tuple[Word, str, int], tuple[_RawEntry, ...]] = {}
     expanded = 0
-    # a frame is (memo key, rule, start hint, None) on its first visit and
-    # (chain keys, rule, start hint, join) on its second, where join is
-    # (head entries, child keys, positive children)
-    stack: list = [
-        ((source, rule.rule_id, pos), rule, 0, None) for source, rule, pos in reversed(steps)
-    ]
+    # a frame is (memo key, rule, start hint) on its first visit and
+    # (chain keys, (head entries, child keys, positive children)) on its second
+    stack: list = [((source, rule.rule_id, pos), rule, 0) for source, rule, pos in reversed(steps)]
     while stack:
-        key, rule, start, join = stack.pop()
-        if join is not None:
-            head, kids, split = join
+        frame = stack.pop()
+        if len(frame) == 2:
+            chain, (head, kids, split) = frame
             entries = list(head)
             for kid in kids[:split]:
                 entries.extend(memo[kid])
             for kid in reversed(kids[split:]):
                 entries.extend(_negate_entries(memo[kid]))
-            memo.update(dict.fromkeys(key, tuple(entries)))
+            memo.update(dict.fromkeys(chain, tuple(entries)))
             continue
+        key, rule, start = frame
         chain = []
         _, rule_id, pos = key
-        # states[i] is the automaton's state after word[base:base + i]
-        word, states, base = list(key[0]), [0], start
+        word = list(key[0])
+        descent = _descent(word, p, start)
         while key not in memo:
             expanded += 1
             if expanded > fuel:
                 raise FuelError(f"peak elimination did not finish within {fuel} frames")
             chain.append(key)
-            b_pos, b_index = _scan(word, automaton, states, base)
+            b_pos, b_index = next(descent)
             b_rule = rules[b_index]
             m_b = len(b_rule.lhs)
             if pos - b_pos <= window:  # b is the step, overlaps it or is near disjoint
@@ -255,10 +247,6 @@ def _peak_entries(
             word[b_pos : b_pos + m_b] = b_rule.rhs
             pos += len(b_rule.rhs) - m_b
             key = (tuple(word), rule_id, pos)
-            if b_pos - window < base:
-                base, states = max(0, b_pos - window), [0]
-            else:
-                del states[b_pos - base + 1 :]
         else:
             # the chain meets a memoized step (an empty chain: the frame's own)
             memo.update(dict.fromkeys(chain, memo[key]))
@@ -279,8 +267,8 @@ def _peak_entries(
             target_s = source[:pos] + rule.rhs + source[pos + m_s :]
             after_b = (target_b, rule_id, pos + len(b_rule.rhs) - m_b)
             children = [
-                (after_b, rule, max(0, b_pos - window), None),
-                ((target_s, b_rule.rule_id, b_pos), b_rule, min(b_pos, max(0, pos - window)), None),
+                (after_b, rule, max(0, b_pos - window)),
+                ((target_s, b_rule.rule_id, b_pos), b_rule, min(b_pos, max(0, pos - window))),
             ]
             split = 1
         else:
@@ -294,12 +282,12 @@ def _peak_entries(
             head = ((beta_sign, left_ctx, right_ctx, source, basis_id),)
             hint = max(0, b_pos - window)
             children = [
-                ((left_ctx + w + right_ctx, step_rule.rule_id, b_pos + q), step_rule, hint, None)
+                ((left_ctx + w + right_ctx, step_rule.rule_id, b_pos + q), step_rule, hint)
                 for path in (completion_b, completion_s)
                 for w, step_rule, q, _ in path.walk()
             ]
             split = len(completion_b)
-        stack.append((chain, rule, start, (head, [child[0] for child in children], split)))
+        stack.append((chain, (head, [child[0] for child in children], split)))
         stack.extend(reversed(children))
     return [memo[(source, rule.rule_id, pos)] for source, rule, pos in steps]
 

@@ -22,7 +22,7 @@ valid presentations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import ParseError
@@ -162,9 +162,8 @@ class Presentation:
         return p
 
     def __getstate__(self) -> dict:
-        # the private fields, _normal_forms and _cache, are caches: a pickle
-        # leaves them out
-        return {name: value for name, value in vars(self).items() if name[0] != "_"}
+        # a pickle holds the three fields; every cached property is derived
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def generator_index(self) -> dict[str, int]:

@@ -14,10 +14,10 @@ links.  ``_scan`` finds the leftmost-lowest redex, from state 0 or from a
 state stored at an earlier position; because the strategy picks the
 leftmost *start* while the automaton reports matches by their *end*, once
 it has found a redex it reads on at most as far as the longest left-hand
-side reaches from its start before it commits (see ``normalize``).  Its
-callers keep a stack of those states along a word they edit in place:
-``_reduce``, for every normal form, normal path and certificate conjugator,
-and the chains of peak elimination in ``abelian._peak_entries``;
+side reaches from its start before it commits.  ``_descent`` alone keeps a
+stack of those states along a word its caller edits in place, for
+``_reduce`` (every normal form, normal path and certificate conjugator) and
+the chains of peak elimination in ``abelian._peak_entries``;
 ``first_redex`` scans once, from state 0.
 
 A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
@@ -288,6 +288,33 @@ def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
     return tuple(Redex(p.rules[rule], pos) for pos, rule in found)
 
 
+def _descent(word: list[str], p: Presentation, base: int = 0) -> Iterator[tuple[int, int]]:
+    """The leftmost-lowest redexes of ``word`` at or after ``base``, as
+    ``(position, rule index)``: the caller applies each to ``word`` in place
+    before it asks for the next.  No redex of the word as given may start
+    before ``base``.
+
+    The descent alone keeps ``_scan``'s stack of states.  After a step at
+    ``pos`` it drops the states past ``pos``: no redex started left of
+    ``pos`` and the step kept the prefix before it, so the stored states
+    still hold and no redex ends at or before ``pos``.  A redex of the new
+    word that starts left of ``pos`` reaches past it, so it starts at
+    ``pos - depth + 1`` or later; when that lies left of a base above 0, the
+    stack starts afresh there, from state 0.  The redexes are those of a
+    full rescan after every step, while a step costs a scan from ``pos`` on.
+    """
+    index = p.index_automaton
+    window = index.depth - 1
+    states = [0]
+    while (found := _scan(word, index, states, base)) is not None:
+        yield found
+        pos = found[0]
+        if base and pos - window < base:
+            base, states = max(0, pos - window), [0]
+        else:
+            del states[pos - base + 1 :]
+
+
 def _reduce(
     w: Word, p: Presentation, fuel: int = DEFAULT_FUEL, until: Container[Word] = ()
 ) -> tuple[Word, list[Move]]:
@@ -295,21 +322,19 @@ def _reduce(
     moves that reach it; ``normalize`` without building the path.  With
     ``until``, the descent stops at its first word in ``until``, ``w``
     included, and returns that word and the moves to it."""
-    index, rules = p.index_automaton, p.rules
+    rules = p.rules
     word = list(w)
-    states = [0]
     moves: list[Move] = []
-    remaining = fuel
-    while not (until and tuple(word) in until) and (
-        found := _scan(word, index, states, 0)
-    ) is not None:
-        if remaining <= 0:
+    if until and w in until:
+        return w, moves
+    for pos, rule_index in _descent(word, p):
+        if len(moves) >= fuel:
             raise _out_of_fuel(w, fuel)
-        remaining -= 1
-        pos, rule = found[0], rules[found[1]]
+        rule = rules[rule_index]
         word[pos : pos + len(rule.lhs)] = rule.rhs
         moves.append((rule, pos, 1))
-        del states[pos + 1 :]
+        if until and tuple(word) in until:
+            break
     return tuple(word), moves
 
 
@@ -324,20 +349,6 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
     Returns the normal form and the canonical reduction path.  ``fuel``
     bounds the number of steps; exceeding it raises FuelError rather than
     truncating silently (relevant only when termination was not certified).
-
-    The scan keeps a stack of the automaton's states, ``states[i]`` after
-    ``word[:i]``.  After a step at ``pos`` it drops the states past ``pos``
-    and reads on from the one stored there: before the step no redex started
-    left of ``pos``, and the step kept the prefix before ``pos``, so no redex
-    ends at or before ``pos`` and the stored state is still right.  At each
-    later end the state gives the longest left-hand side ending there, which
-    starts earliest, and its lowest rule.  A redex found to start at ``s``
-    rules out only the ends past ``s + depth`` (``depth`` is the length of
-    the longest left-hand side), so the scan reads that far before it
-    commits; this keeps the leftmost start and then the lowest rule exact
-    when one left-hand side contains or extends another.  The steps, the
-    point where fuel runs out and the path are therefore those of a full
-    rescan, while a step costs a scan from ``pos`` on, not of the whole word.
     """
     target, moves = _reduce(w, p, fuel)
     # _reduce applied each move to its word as it found it

@@ -32,7 +32,7 @@ from srs import (
     parse_translation_map,
     verify_certificate,
 )
-from srs import abelian, rewrite
+from srs import rewrite
 from helpers import (
     alt_normal_path,
     as_presentation,
@@ -120,13 +120,14 @@ def test_moves_round_trip_on_completed_systems(seed):
 @PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_scan_start_hints_find_the_first_redex(seed):
-    """Every scan in peak elimination that starts at a hint or reads on from
-    stored states finds what a scan of the whole word finds, so the
-    certificates do not depend on the hints or the kept states."""
+    """Every scan of a decomposition (peak elimination, normal forms and
+    conjugators) that starts at a hint or reads on from stored states finds
+    what a scan of the whole word finds, so the certificates do not depend
+    on the hints or the kept states."""
     rng = random.Random(seed)
     p = parse_presentation(SORTING_TEXT) if seed % 2 else four_rule_presentation()
     loop = random_loop(rng, p, tuple(bl.loop for bl in basis_loops(p)), max_len=8)
-    original = abelian._scan
+    original = rewrite._scan
 
     def checked(word, automaton, states, base):
         resumed = base or len(states) > 1
@@ -135,17 +136,17 @@ def test_scan_start_hints_find_the_first_redex(seed):
             assert found == original(word, automaton, [0], 0), (word, base, states)
         return found
 
-    abelian._scan = checked
+    rewrite._scan = checked
     try:
         cert = decompose_loop(loop, p)
     finally:
-        abelian._scan = original
+        rewrite._scan = original
     assert verify_certificate(loop, cert, p).ok
 
 
 def test_scan_start_hints_are_used(monkeypatch):
     p = parse_presentation(SORTING_TEXT)
-    original = abelian._scan
+    original = rewrite._scan
     bases = []
 
     def counting(word, automaton, states, base):
@@ -154,7 +155,7 @@ def test_scan_start_hints_are_used(monkeypatch):
 
     word = w("cbacbacba")
     loop = compose(normal_path(p, word), invert(alt_normal_path(p, word)))
-    monkeypatch.setattr(abelian, "_scan", counting)
+    monkeypatch.setattr(rewrite, "_scan", counting)
     decompose_loop(loop, p)
     assert any(bases)
 

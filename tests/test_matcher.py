@@ -19,6 +19,7 @@ from srs import (
     knuth_bendix,
     normalize,
 )
+from srs.rewrite import _reduce
 from helpers import (
     as_presentation,
     find_redexes_oracle,
@@ -115,6 +116,24 @@ def test_normalize_agrees_on_random_terminating_systems(seed):
         w = random_word(rng, p, 24)
         assert outcome(normalize, w, p, 10**4) == outcome(normalize_oracle, w, p, 10**4)
         assert find_redexes(w, p) == find_redexes_oracle(w, p)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_reduce_until_stops_at_the_first_word_of_the_set_on_the_oracle_path(seed):
+    """``_reduce(w, p, until=S)`` returns the first word of ``S`` along
+    ``normalize_oracle``'s path and the path's moves up to it: ``w`` and no
+    moves when ``w`` is in ``S``, the normal form and every move when no
+    word of the path is."""
+    rng = random.Random(seed)
+    p = random_terminating_presentation(rng)
+    w = random_word(rng, p, 24)
+    _, path = normalize_oracle(w, p, 10**4)
+    words = [source for source, *_ in path.walk()] + [path.target]
+    some = {u for u in words if rng.random() < 0.2} | {random_word(rng, p, 24) for _ in range(3)}
+    for stops in (some, some | {w}, set()):
+        k = next((i for i, u in enumerate(words) if u in stops), len(words) - 1)
+        assert _reduce(w, p, until=stops) == (words[k], list(path.moves[:k]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,7 @@ from srs import (
     parse_presentation,
     verify_certificate,
 )
-from srs import abelian
+from srs import abelian, rewrite
 from helpers import (
     alt_normal_path,
     as_presentation,
@@ -170,15 +170,26 @@ def test_a_branching_met_from_its_second_redex_takes_the_other_orientation():
 @pytest.fixture
 def scans(monkeypatch):
     """The bases of the scans peak elimination makes, one per frame it
-    expands."""
-    original = abelian._scan
+    expands: those made while ``abelian._peak_entries`` runs, so the
+    descents of normal forms and conjugators are left out."""
+    scan, peak_entries = rewrite._scan, abelian._peak_entries
     bases = []
+    running = []
 
     def counting(word, automaton, states, base):
-        bases.append(base)
-        return original(word, automaton, states, base)
+        if running:
+            bases.append(base)
+        return scan(word, automaton, states, base)
 
-    monkeypatch.setattr(abelian, "_scan", counting)
+    def counted(*args):
+        running.append(True)
+        try:
+            return peak_entries(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(rewrite, "_scan", counting)
+    monkeypatch.setattr(abelian, "_peak_entries", counted)
     return bases
 
 

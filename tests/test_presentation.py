@@ -1,5 +1,6 @@
 import itertools
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +243,14 @@ def test_the_hash_is_kept_and_left_out_of_pickles():
     assert "_cache" not in vars(q) and "_normal_forms" not in vars(q)
     assert q == p and hash(q) == hash(p)
     assert normal_form(q, w("aaa")) == w("a")
+
+
+def test_a_pickle_holds_the_three_fields_only():
+    """Reading the public cached properties leaves the pickle as it was."""
+    text = Path(__file__).resolve().parent.parent / "srsbench" / "inputs" / "a5_completed.pres"
+    p = parse_presentation(text.read_text(encoding="utf-8"))
+    fresh = pickle.dumps(p)
+    assert p.index_automaton.depth and p.rule_by_id and p.generator_index
+    assert pickle.dumps(p) == fresh
+    q = pickle.loads(fresh)
+    assert set(vars(q)) == {"generators", "rules", "order"} and q == p
