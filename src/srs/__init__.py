@@ -46,7 +46,6 @@ from .rewrite import (
     apply_step,
     check_termination,
     find_redexes,
-    first_redex,
     normal_form,
     normal_path,
     normalize,

@@ -210,8 +210,8 @@ def _peak_entries(
     (rewritten from ``pos`` on, prefix up to ``pos`` kept), each at least 0.
     The hint changes no result, so the memo key leaves it out.
     """
-    rules = p.rules
-    window = p.index_automaton.depth - 1
+    automaton = p.index_automaton
+    rules, window = automaton.rules, automaton.depth - 1
     memo: dict[tuple[Word, str, int], tuple[_RawEntry, ...]] = {}
     expanded = 0
     # a frame is (memo key, rule, start hint) on its first visit and
@@ -232,7 +232,7 @@ def _peak_entries(
         chain = []
         _, rule_id, pos = key
         word = list(key[0])
-        descent = _descent(word, p, start)
+        descent = _descent(word, automaton, start)
         while key not in memo:
             expanded += 1
             if expanded > fuel:
@@ -371,7 +371,8 @@ def decompose_loop(
     raw: list[_RawEntry] = []
     for (_, _, sign), entries in zip(f.moves, _peak_entries(steps, p, _basis(p), fuel)):
         raw.extend(entries if sign > 0 else _negate_entries(entries))
-    normal, head = _reduce(f.base, p, DEFAULT_FUEL)
+    automaton = p.index_automaton
+    normal, head = _reduce(f.base, automaton, DEFAULT_FUEL)
     # word -> (moves, k, j): moves[k:] lead from the word to the j-th word of head;
     # the words come from walking _reduce's moves, each applied where found
     known: dict[Word, tuple[list[Move], int, int]] = {normal: ([], 0, len(head))}
@@ -382,7 +383,7 @@ def decompose_loop(
     def conjugator(base: Word) -> Path:
         path = conjugators.get(base)
         if path is None:
-            meeting, own = _reduce(base, p, DEFAULT_FUEL, known)
+            meeting, own = _reduce(base, automaton, DEFAULT_FUEL, known)
             moves, k, j = known[meeting]
             down = own + moves[k:]
             if len(down) + len(head) - j > DEFAULT_FUEL:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FuelError, NotTerminatingError, UnorientableError
-from .presentation import GREATER, LESS, Presentation, Rule, Word, compare_words
+from .presentation import GREATER, LESS, IndexAutomaton, Presentation, Rule, Word, compare_words
 from .rewrite import _matches, _reduce, check_termination
 # pinned by srsbench/tests/test_srsbench.py::test_tracing_srs_counts_and_restores
 from .rewrite import normalize  # noqa: F401
@@ -33,10 +33,6 @@ class CompletionEvent:
     lhs: Word
     rhs: Word
     overlap: Word | None = None
-
-
-def _with_rules(p: Presentation, rules: list[Rule]) -> Presentation:
-    return Presentation._unchecked(p.generators, tuple(rules), p.order)
 
 
 def _orient(p: Presentation, u: Word, v: Word) -> tuple[Word, Word]:
@@ -82,17 +78,20 @@ def knuth_bendix(
     start, and the unjoinable one waits on at the front.
 
     Inter-reduction (``simplify``) does what a loop that starts again after
-    each change does, in the same order, with one presentation per rule set
-    it reduces against.  Before an addition the set is inter-reduced, and
-    an added rule's sides are normal forms of the rules present then, so a
-    left-hand or right-hand side is reducible exactly when a left-hand side
-    added since the last walk (every input rule, before the first) other
-    than its own occurs in it.  A removal makes no other side reducible, so
-    the collapse scan goes on at the same place; an added rule may occur in
-    any left-hand side, so the scan starts again.  Reducibility depends on
-    the left-hand sides alone, so a reduced right-hand side removes no rule
-    and leaves those read before it irreducible: one pass does.  Occurrence
-    tests read words as strings of one character per letter.
+    each change does, in the same order.  Before an addition the set is
+    inter-reduced, and an added rule's sides are normal forms of the rules
+    present then, so a left-hand or right-hand side is reducible exactly
+    when a left-hand side added since the last walk (every input rule,
+    before the first) other than its own occurs in it.  A removal makes no
+    other side reducible, so the collapse scan goes on at the same place; an
+    added rule may occur in any left-hand side, so the scan starts again.
+    Reducibility depends on the left-hand sides alone, so a reduced
+    right-hand side removes no rule and leaves those read before it
+    irreducible: one pass does.  Occurrence tests read words as strings of
+    one character per letter.
+
+    Walks and inter-reduction reduce against one ``IndexAutomaton`` per rule
+    set; only the result is a ``Presentation``, validated once.
 
     ``fuel`` bounds the number of added rules; exceeding it raises
     FuelError.  Every added rule's sides are congruent in the input
@@ -136,9 +135,9 @@ def knuth_bendix(
         touched.add(rule.rule_id)
         trace.append(CompletionEvent("add", rule.rule_id, lhs, rhs, overlap))
 
-    def simplify() -> Presentation:
-        """Inter-reduce ``rules``; returns their presentation."""
-        current = None  # the presentation of ``rules`` as they are, once made
+    def simplify() -> IndexAutomaton:
+        """Inter-reduce ``rules``; returns their index automaton."""
+        current = None  # the automaton of ``rules`` as they are, once made
         idx = 0
         while idx < len(rules):
             rule = rules[idx]
@@ -149,7 +148,7 @@ def knuth_bendix(
             del rules[idx]
             fresh.pop(rule.rule_id, None)
             touched.add(rule.rule_id)
-            current = _with_rules(p, rules)
+            current = IndexAutomaton.of(p.generators, tuple(rules))
             u = _reduce(rule.lhs, current)[0]
             trace.append(CompletionEvent("remove", rule.rule_id, rule.lhs, rule.rhs))
             v = _reduce(rule.rhs, current)[0]
@@ -157,7 +156,7 @@ def knuth_bendix(
                 add_rule(u, v, None)
                 current = None
                 idx = 0
-        current = current or _with_rules(p, rules)
+        current = current or IndexAutomaton.of(p.generators, tuple(rules))
         for idx, rule in enumerate(rules):
             if any(u in sides[rule.rule_id][1] for u in fresh.values()):
                 rhs = _reduce(rule.rhs, current)[0]
@@ -165,7 +164,7 @@ def knuth_bendix(
                 sides[rule.rule_id] = sides[rule.rule_id][0], _text(code, rhs)
                 touched.add(rule.rule_id)
                 trace.append(CompletionEvent("simplify", rule.rule_id, rule.lhs, rhs))
-                current = _with_rules(p, rules)
+                current = IndexAutomaton.of(p.generators, tuple(rules))
         return current
 
     def path_text(word: Word, moves: list) -> str:
@@ -243,7 +242,7 @@ def knuth_bendix(
                 heapq.heappop(waiting)
                 walked.append((b, left, right))
         if pending is None:
-            return current, tuple(trace)
+            return Presentation(p.generators, tuple(rules), p.order), tuple(trace)
         # the words of the paths, read while their rules are those walked
         for b, left, right in walked:
             words = path_text(b.targets[0], left) + "\0" + path_text(b.targets[1], right)

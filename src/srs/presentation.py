@@ -90,9 +90,10 @@ class Rule:
 
 @dataclass(frozen=True, eq=False)
 class IndexAutomaton:
-    """Sims' index automaton of a presentation's left-hand sides: the one
-    matcher that every redex scan reads, through ``rewrite._scan`` (the
-    leftmost-lowest redex) or ``rewrite._matches`` (every occurrence).
+    """Sims' index automaton of a rule list: the matcher of its left-hand
+    sides, which carries its rules.  Every redex scan reads one, through
+    ``rewrite._scan`` (the leftmost-lowest redex) or ``rewrite._matches``
+    (every occurrence); a rule index is a place in ``rules``.
 
     A state is a prefix of a left-hand side (state 0 the empty one), numbered
     as the trie of left-hand sides creates them.  ``delta[s][g]`` is the
@@ -110,12 +111,62 @@ class IndexAutomaton:
     or 0.  ``depth`` is the length of the longest left-hand side.
     """
 
+    rules: tuple[Rule, ...]
     delta: tuple[dict[str, int], ...]
     longest: tuple[int, ...]
     lowest: tuple[int, ...]
     ends: tuple[tuple[int, ...], ...]
     out: tuple[int, ...]
     depth: int
+
+    @classmethod
+    def of(cls, generators: tuple[str, ...], rules: tuple[Rule, ...]) -> IndexAutomaton:
+        """The automaton of ``rules``, whose rows cover ``generators``."""
+        goto: list[dict[str, int]] = [{}]
+        ends: list[list[int]] = [[]]
+        for index, rule in enumerate(rules):
+            node = 0
+            for g in rule.lhs:
+                child = goto[node].get(g)
+                if child is None:
+                    child = goto[node][g] = len(goto)
+                    goto.append({})
+                    ends.append([])
+                node = child
+            ends[node].append(index)
+        # one breadth-first pass: a state's failure state is shorter, so its
+        # row, longest match and output link are known when the state is
+        # read; the root's failure state is itself, read with the row that
+        # sends every letter back to it
+        size = len(goto)
+        delta = [dict.fromkeys(generators, 0)] * size
+        longest, lowest, out, fail, length = ([0] * size for _ in range(5))
+        order = [0]
+        for node in order:
+            f = fail[node]
+            delta[node] = {**delta[f], **goto[node]}
+            out[node] = f if ends[f] else out[f]
+            if ends[node]:
+                longest[node], lowest[node] = length[node], ends[node][0]
+            else:
+                longest[node], lowest[node] = longest[f], lowest[f]
+            for g, child in goto[node].items():
+                fail[child] = delta[f][g] if node else 0
+                length[child] = length[node] + 1
+                order.append(child)
+        tables = tuple(delta), tuple(longest), tuple(lowest), tuple(map(tuple, ends)), tuple(out)
+        return cls(rules, *tables, max(length))
+
+
+def _check_generators(names: tuple[str, ...], error: type[Exception]) -> None:
+    """Raise ``error`` for the first bad name, else for a repeated one: a
+    ValueError from the constructor, a ParseError from the parser."""
+    for name in names:
+        if not _NAME_RE.match(name):
+            raise error(f"bad generator name {name!r}")
+    if len(set(names)) != len(names):
+        dupe = next(n for i, n in enumerate(names) if n in names[:i])
+        raise error(f"duplicate generator {dupe!r}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +179,9 @@ class Presentation:
     order: OrderSpec
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for name in self.generators:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate generator {name!r}")
-            seen.add(name)
-        if set(self.order.precedence) != seen:
+        _check_generators(self.generators, ValueError)
+        alphabet = set(self.generators)
+        if set(self.order.precedence) != alphabet:
             raise ValueError("order precedence must cover exactly the alphabet")
         ids: set[str] = set()
         for rule in self.rules:
@@ -143,23 +189,8 @@ class Presentation:
                 raise ValueError(f"duplicate rule id {rule.rule_id!r}")
             ids.add(rule.rule_id)
             for g in rule.lhs + rule.rhs:
-                if g not in seen:
-                    raise ValueError(
-                        f"rule {rule.rule_id}: unknown generator {g!r}"
-                    )
-
-    @classmethod
-    def _unchecked(
-        cls, generators: tuple[str, ...], rules: tuple[Rule, ...], order: OrderSpec
-    ) -> Presentation:
-        """The presentation of parts known to pass ``__post_init__``, built
-        without its checks: completion's rule sets, whose rules are words
-        over a validated alphabet under unused ids.  Input from outside goes
-        through the constructor."""
-        p = cls.__new__(cls)
-        for name, value in (("generators", generators), ("rules", rules), ("order", order)):
-            object.__setattr__(p, name, value)
-        return p
+                if g not in alphabet:
+                    raise ValueError(f"rule {rule.rule_id}: unknown generator {g!r}")
 
     def __getstate__(self) -> dict:
         # a pickle holds the three fields; every cached property is derived
@@ -175,46 +206,7 @@ class Presentation:
 
     @cached_property
     def index_automaton(self) -> IndexAutomaton:
-        goto: list[dict[str, int]] = [{}]
-        ends: list[list[int]] = [[]]
-        for index, rule in enumerate(self.rules):
-            node = 0
-            for g in rule.lhs:
-                child = goto[node].get(g)
-                if child is None:
-                    child = goto[node][g] = len(goto)
-                    goto.append({})
-                    ends.append([])
-                node = child
-            ends[node].append(index)
-        # one breadth-first pass: a state's failure state is shorter, so its
-        # row, longest match and output link are known when the state is
-        # read; the root's failure state is itself, read with the row that
-        # sends every letter back to it
-        size = len(goto)
-        delta = [dict.fromkeys(self.generators, 0)] * size
-        longest, lowest, out, fail, length = ([0] * size for _ in range(5))
-        order = [0]
-        for node in order:
-            f = fail[node]
-            delta[node] = {**delta[f], **goto[node]}
-            out[node] = f if ends[f] else out[f]
-            if ends[node]:
-                longest[node], lowest[node] = length[node], ends[node][0]
-            else:
-                longest[node], lowest[node] = longest[f], lowest[f]
-            for g, child in goto[node].items():
-                fail[child] = delta[f][g] if node else 0
-                length[child] = length[node] + 1
-                order.append(child)
-        return IndexAutomaton(
-            tuple(delta),
-            tuple(longest),
-            tuple(lowest),
-            tuple(map(tuple, ends)),
-            tuple(out),
-            max(length),
-        )
+        return IndexAutomaton.of(self.generators, self.rules)
 
     @cached_property
     def _normal_forms(self) -> dict[Word, Word]:
@@ -340,9 +332,6 @@ def _split_token(token: str, p: Presentation) -> list[str]:
 # ---------------------------------------------------------------------------
 # file format
 
-_HEADERS = ("generators:", "order:", "rules:")
-
-
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format; raises ParseError with position."""
     generators: list[str] | None = None
@@ -378,12 +367,7 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError(f"unexpected line {line!r}", lineno)
 
     names = tuple(generators or ())
-    for lineno_name in names:
-        if not _NAME_RE.match(lineno_name):
-            raise ParseError(f"bad generator name {lineno_name!r}")
-    if len(set(names)) != len(names):
-        dupe = next(n for i, n in enumerate(names) if n in names[:i])
-        raise ParseError(f"duplicate generator {dupe!r}")
+    _check_generators(names, ParseError)
 
     order = _parse_order(order_line, names)
     rules = _parse_rules(rule_lines, names)

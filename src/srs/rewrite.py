@@ -5,20 +5,20 @@ position first, then lowest rule index.  Fixing the strategy makes every
 downstream certificate (confluence bases, decompositions, transported
 generators) reproducible.
 
-Every redex scan reads one index: the index automaton of all left-hand
-sides that ``Presentation.index_automaton`` builds once per presentation,
-the trie of left-hand sides completed with failure transitions.  A scan
-reads each letter once, and the state after a letter names the left-hand
-sides that end there.  ``_matches`` reads every occurrence off the output
-links.  ``_scan`` finds the leftmost-lowest redex, from state 0 or from a
-state stored at an earlier position; because the strategy picks the
-leftmost *start* while the automaton reports matches by their *end*, once
-it has found a redex it reads on at most as far as the longest left-hand
-side reaches from its start before it commits.  ``_descent`` alone keeps a
-stack of those states along a word its caller edits in place, for
-``_reduce`` (every normal form, normal path and certificate conjugator) and
-the chains of peak elimination in ``abelian._peak_entries``;
-``first_redex`` scans once, from state 0.
+Every redex scan reads an ``IndexAutomaton``: the trie of a rule list's
+left-hand sides completed with failure transitions, which carries the
+rules.  ``Presentation.index_automaton`` builds one per presentation, and
+completion one per rule set it reduces against.  A scan reads each letter
+once, and the state after a letter names the left-hand sides that end
+there.  ``_matches`` reads every occurrence off the output links.
+``_scan`` finds the leftmost-lowest redex, from state 0 or from a state
+stored at an earlier position; because the strategy picks the leftmost
+*start* while the automaton reports matches by their *end*, once it has
+found a redex it reads on at most as far as the longest left-hand side
+reaches from its start before it commits.  ``_descent`` alone keeps a stack
+of those states along a word its caller edits in place, for ``_reduce``
+(every normal form, normal path, certificate conjugator and completion
+reduction) and the chains of peak elimination in ``abelian._peak_entries``.
 
 A path is its base word plus a tuple of moves, ``(rule, pos, sign)``
 triples: every word along it follows from those, so a stored path holds
@@ -258,15 +258,6 @@ def _scan(
     return None if best_rule < 0 else (best_pos, best_rule)
 
 
-def first_redex(w: Sequence[str], p: Presentation, start: int = 0) -> Redex | None:
-    """The leftmost redex of ``w`` at or after position ``start``, lowest
-    rule index first; None when no left-hand side occurs there."""
-    if start < 0:
-        raise ValueError(f"negative start {start}")
-    found = _scan(w, p.index_automaton, [0], start)
-    return None if found is None else Redex(p.rules[found[1]], found[0])
-
-
 def _matches(w: Sequence[str], index: IndexAutomaton) -> Iterator[tuple[int, int]]:
     """Every left-hand-side occurrence in ``w`` as ``(position, rule index)``,
     by end, read off the state there and its output links."""
@@ -288,7 +279,7 @@ def find_redexes(w: Word, p: Presentation) -> tuple[Redex, ...]:
     return tuple(Redex(p.rules[rule], pos) for pos, rule in found)
 
 
-def _descent(word: list[str], p: Presentation, base: int = 0) -> Iterator[tuple[int, int]]:
+def _descent(word: list[str], index: IndexAutomaton, base: int = 0) -> Iterator[tuple[int, int]]:
     """The leftmost-lowest redexes of ``word`` at or after ``base``, as
     ``(position, rule index)``: the caller applies each to ``word`` in place
     before it asks for the next.  No redex of the word as given may start
@@ -303,7 +294,6 @@ def _descent(word: list[str], p: Presentation, base: int = 0) -> Iterator[tuple[
     stack starts afresh there, from state 0.  The redexes are those of a
     full rescan after every step, while a step costs a scan from ``pos`` on.
     """
-    index = p.index_automaton
     window = index.depth - 1
     states = [0]
     while (found := _scan(word, index, states, base)) is not None:
@@ -316,18 +306,18 @@ def _descent(word: list[str], p: Presentation, base: int = 0) -> Iterator[tuple[
 
 
 def _reduce(
-    w: Word, p: Presentation, fuel: int = DEFAULT_FUEL, until: Container[Word] = ()
+    w: Word, index: IndexAutomaton, fuel: int = DEFAULT_FUEL, until: Container[Word] = ()
 ) -> tuple[Word, list[Move]]:
     """The normal form of ``w`` under the leftmost-lowest strategy and the
     moves that reach it; ``normalize`` without building the path.  With
     ``until``, the descent stops at its first word in ``until``, ``w``
     included, and returns that word and the moves to it."""
-    rules = p.rules
+    rules = index.rules
     word = list(w)
     moves: list[Move] = []
     if until and w in until:
         return w, moves
-    for pos, rule_index in _descent(word, p):
+    for pos, rule_index in _descent(word, index):
         if len(moves) >= fuel:
             raise _out_of_fuel(w, fuel)
         rule = rules[rule_index]
@@ -350,7 +340,7 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
     bounds the number of steps; exceeding it raises FuelError rather than
     truncating silently (relevant only when termination was not certified).
     """
-    target, moves = _reduce(w, p, fuel)
+    target, moves = _reduce(w, p.index_automaton, fuel)
     # _reduce applied each move to its word as it found it
     return target, Path._derived(w, moves, target)
 
@@ -367,7 +357,7 @@ def normal_form(p: Presentation, w: Word) -> Word:
     table = p._normal_forms
     nf = table.get(w)
     if nf is None:
-        nf = table[w] = _reduce(w, p)[0]
+        nf = table[w] = _reduce(w, p.index_automaton)[0]
     return nf
 
 

@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable
 
 from .errors import BoundaryError, DisjointnessError, ParseError
-from .presentation import Presentation, Rule, Word, format_word, parse_word
+from .presentation import Presentation, Word, format_word, parse_word
 from .rewrite import Move, Path
 
 _STEP_RE = re.compile(r"([+-])([A-Za-z0-9_]+)@(\d+)\Z")
@@ -119,15 +119,9 @@ def conjugate(f: Path, g: Path) -> Path:
 # textual path syntax: `<word>: +rule@pos -rule@pos ...`
 
 
-def _format_move(rule: Rule, pos: int, sign: int) -> str:
-    return f"{'+' if sign > 0 else '-'}{rule.rule_id}@{pos}"
-
-
 def format_path(p: Path, pres: Presentation) -> str:
-    head = f"{format_word(p.base, pres)}:"
-    if not p.moves:
-        return head
-    return head + " " + " ".join(_format_move(*move) for move in p.moves)
+    moves = [f"{'+' if sign > 0 else '-'}{rule.rule_id}@{pos}" for rule, pos, sign in p.moves]
+    return " ".join([f"{format_word(p.base, pres)}:", *moves])
 
 
 def parse_path(text: str, pres: Presentation) -> Path:

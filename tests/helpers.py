@@ -29,7 +29,6 @@ from srs import (
     conjugate,
     critical_branchings,
     find_redexes,
-    first_redex,
     free_reduce,
     generating_confluence,
     invert,
@@ -41,6 +40,7 @@ from srs import (
 )
 from srs.abelian import CertificateEntry, DecompositionCertificate
 from srs.completion import _orient
+from srs.rewrite import _scan
 from srs.critical import CONTAINMENT, PROPER, BranchingFailure
 
 AS_TEXT = "generators: a\norder: shortlex a\nrules:\n r: a a -> a\n"
@@ -86,6 +86,13 @@ def find_redexes_oracle(w: Word, p: Presentation) -> tuple[Redex, ...]:
             if w[pos : pos + len(rule.lhs)] == rule.lhs:
                 out.append(Redex(rule, pos))
     return tuple(out)
+
+
+def scanned_redex(w: Word, p: Presentation, start: int = 0) -> Redex | None:
+    """The redex that one ``rewrite._scan`` from state 0 at ``start`` finds:
+    the leftmost at or after ``start``, lowest rule index first."""
+    found = _scan(w, p.index_automaton, [0], start)
+    return None if found is None else Redex(p.rules[found[1]], found[0])
 
 
 def normalize_oracle(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, Path]:
@@ -433,7 +440,7 @@ def e_class_oracle(source: Word, rule: Rule, pos: int, p: Presentation, memo: di
     cached = memo.get(key)
     if cached is not None:
         return cached
-    first = first_redex(source, p)
+    first = find_redexes_oracle(source, p)[0]
     b_rule, b_pos = first.rule, first.pos
     if (b_rule.rule_id, b_pos) == (rule.rule_id, pos):
         memo[key] = ({}, ())

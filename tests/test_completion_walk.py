@@ -322,7 +322,7 @@ def test_a_branching_is_read_again_only_when_an_added_lhs_occurs_in_its_paths(wa
 def test_b4_completion_counts_and_trace(monkeypatch):
     """B4 under s4 < s2 < s1 < s3 completes in a 119-event trace.  Its walks
     and inter-reductions reduce 866 words, build 331 branchings and 82
-    index automata.  For the same trace, rebuilding every branching and
+    index automata, and the completed presentation is the one it validates.  For the same trace, rebuilding every branching and
     reducing both of its sides on every walk took 5,708 reductions and
     2,001 branchings; an inter-reduction that started again after each
     change took 1,651 reductions and 164 automata; walks that kept normal
@@ -331,8 +331,9 @@ def test_b4_completion_counts_and_trace(monkeypatch):
     and 120 automata."""
     p = parse_presentation((INPUTS / "coxeter" / "B4.pres").read_text(encoding="utf-8"))
     (q,) = [q for q in precedences(p) if q.order.precedence == ("s4", "s2", "s1", "s3")]
-    counts = {"reductions": 0, "branchings": 0, "automata": 0}
+    counts = {"reductions": 0, "branchings": 0, "automata": 0, "validations": 0}
     reduce = srs.completion._reduce
+    validate = Presentation.__post_init__
 
     def counted_reduce(*args):
         counts["reductions"] += 1
@@ -347,11 +348,16 @@ def test_b4_completion_counts_and_trace(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted_init)
 
+    def counted_validate(self):
+        counts["validations"] += 1
+        validate(self)
+
     monkeypatch.setattr(srs.completion, "_reduce", counted_reduce)
     counted(CriticalBranching, "branchings")
     counted(IndexAutomaton, "automata")
+    monkeypatch.setattr(Presentation, "__post_init__", counted_validate)
     completed, trace = knuth_bendix(q)
-    assert counts == {"reductions": 866, "branchings": 331, "automata": 82}
+    assert counts == {"reductions": 866, "branchings": 331, "automata": 82, "validations": 1}
     assert (len(trace), len(completed.rules)) == (119, 25)
     events = repr([(e.kind, e.rule_id, e.lhs, e.rhs, e.overlap) for e in trace])
     assert hashlib.sha256(events.encode()).hexdigest() == (

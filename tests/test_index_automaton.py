@@ -1,6 +1,6 @@
 """The index automaton against the slice-scan oracles: the state after a
 word names exactly the left-hand sides that end there, and ``normalize``
-(under fuel), ``first_redex`` at every start and ``find_redexes`` agree
+(under fuel), a scan from state 0 at every start and ``find_redexes`` agree
 with ``normalize_oracle`` and ``find_redexes_oracle`` on systems where one
 left-hand side contains, extends or repeats another, and on completed
 systems."""
@@ -8,7 +8,6 @@ systems."""
 import random
 from pathlib import Path as FilePath
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from srs import (
     Presentation,
     Rule,
     find_redexes,
-    first_redex,
     knuth_bendix,
     normalize,
     parse_presentation,
@@ -28,6 +26,7 @@ from helpers import (
     normalize_oracle,
     random_terminating_presentation,
     random_word,
+    scanned_redex,
 )
 
 INPUTS = FilePath(__file__).resolve().parent.parent / "srsbench" / "inputs"
@@ -103,7 +102,7 @@ def assert_matches_oracles(p, w, fuel=40):
     expected = find_redexes_oracle(w, p)
     assert find_redexes(w, p) == expected
     for start in range(len(w) + 2):
-        assert first_redex(w, p, start) == next((r for r in expected if r.pos >= start), None)
+        assert scanned_redex(w, p, start) == next((r for r in expected if r.pos >= start), None)
     assert outcome(normalize, w, p, fuel) == outcome(normalize_oracle, w, p, fuel)
 
 
@@ -187,7 +186,7 @@ def redex_list(redexes):
 def test_first_match_to_end_does_not_start_leftmost():
     p = system("abc", ("b", "c"), ("a b c", "c"))
     w = tuple("abc")
-    assert redex_list([first_redex(w, p)]) == [("r2", 0)]
+    assert redex_list([scanned_redex(w, p)]) == [("r2", 0)]
     assert redex_list(find_redexes(w, p)) == [("r2", 0), ("r1", 1)]
     assert_matches_oracles(p, w)
 
@@ -195,7 +194,7 @@ def test_first_match_to_end_does_not_start_leftmost():
 def test_lowest_index_at_the_leftmost_start_needs_the_full_lookahead():
     p = system("abc", ("a b c", "c"), ("a", "b"))
     w = tuple("abc")
-    assert redex_list([first_redex(w, p)]) == [("r1", 0)]
+    assert redex_list([scanned_redex(w, p)]) == [("r1", 0)]
     assert outcome(normalize, w, p, 10) == (("c",), [("r1", 0)])
     assert_matches_oracles(p, w)
     assert_matches_oracles(p, tuple("aabcabc"))
@@ -216,7 +215,7 @@ def test_empty_word_and_no_rules():
     assert bare.index_automaton.depth == 0
     for w in ((), tuple("abba")):
         assert find_redexes(w, bare) == ()
-        assert first_redex(w, bare) is None
+        assert scanned_redex(w, bare) is None
         nf, path = normalize(w, bare)
         assert nf == w and len(path) == 0
 
@@ -224,8 +223,6 @@ def test_empty_word_and_no_rules():
 def test_start_past_the_end_of_the_word():
     p = system("ab", ("a", "b"))
     w = tuple("ab")
-    assert first_redex(w, p, 2) is None
-    assert first_redex(w, p, 5) is None
-    assert first_redex((), p, 1) is None
-    with pytest.raises(ValueError):
-        first_redex(w, p, -1)
+    assert scanned_redex(w, p, 2) is None
+    assert scanned_redex(w, p, 5) is None
+    assert scanned_redex((), p, 1) is None

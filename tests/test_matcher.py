@@ -15,7 +15,6 @@ from srs import (
     Presentation,
     Rule,
     find_redexes,
-    first_redex,
     knuth_bendix,
     normalize,
 )
@@ -26,6 +25,7 @@ from helpers import (
     normalize_oracle,
     random_terminating_presentation,
     random_word,
+    scanned_redex,
 )
 
 ALPHABETS = (("a", "b"), ("a", "b", "c"), ("x", "x1", "yy"))
@@ -97,7 +97,7 @@ def test_find_redexes_agrees_with_oracle(case):
 def test_first_redex_agrees_with_oracle(case, start):
     p, w = case
     expected = next((r for r in find_redexes_oracle(w, p) if r.pos >= start), None)
-    assert first_redex(w, p, start) == expected
+    assert scanned_redex(w, p, start) == expected
 
 
 @PROPERTY
@@ -121,10 +121,10 @@ def test_normalize_agrees_on_random_terminating_systems(seed):
 @PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_reduce_until_stops_at_the_first_word_of_the_set_on_the_oracle_path(seed):
-    """``_reduce(w, p, until=S)`` returns the first word of ``S`` along
-    ``normalize_oracle``'s path and the path's moves up to it: ``w`` and no
-    moves when ``w`` is in ``S``, the normal form and every move when no
-    word of the path is."""
+    """``_reduce(w, p.index_automaton, until=S)`` returns the first word of
+    ``S`` along ``normalize_oracle``'s path and the path's moves up to it:
+    ``w`` and no moves when ``w`` is in ``S``, the normal form and every
+    move when no word of the path is."""
     rng = random.Random(seed)
     p = random_terminating_presentation(rng)
     w = random_word(rng, p, 24)
@@ -133,7 +133,7 @@ def test_reduce_until_stops_at_the_first_word_of_the_set_on_the_oracle_path(seed
     some = {u for u in words if rng.random() < 0.2} | {random_word(rng, p, 24) for _ in range(3)}
     for stops in (some, some | {w}, set()):
         k = next((i for i, u in enumerate(words) if u in stops), len(words) - 1)
-        assert _reduce(w, p, until=stops) == (words[k], list(path.moves[:k]))
+        assert _reduce(w, p.index_automaton, until=stops) == (words[k], list(path.moves[:k]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,24 +157,24 @@ def test_normalize_agrees_on_completed_systems(seed):
 def test_lower_index_wins_when_it_is_the_longer_prefix_rule():
     p = system("abc", ("a b c", "c"), ("a b", "b"))
     w = tuple("abc")
-    assert redex_list([first_redex(w, p)]) == [("r1", 0)]
+    assert redex_list([scanned_redex(w, p)]) == [("r1", 0)]
     assert redex_list(find_redexes(w, p)) == [("r1", 0), ("r2", 0)]
     q = system("abc", ("a b", "b"), ("a b c", "c"))
-    assert redex_list([first_redex(w, q)]) == [("r1", 0)]
+    assert redex_list([scanned_redex(w, q)]) == [("r1", 0)]
     assert redex_list(find_redexes(w, q)) == [("r1", 0), ("r2", 0)]
 
 
 def test_earlier_start_wins_over_a_short_lhs_that_ends_first():
     p = system("abcd", ("b", "c"), ("a b c d", "d"))
     w = tuple("abcd")
-    assert redex_list([first_redex(w, p)]) == [("r2", 0)]
+    assert redex_list([scanned_redex(w, p)]) == [("r2", 0)]
     assert redex_list(find_redexes(w, p)) == [("r2", 0), ("r1", 1)]
 
 
 def test_duplicate_left_hand_sides_list_every_rule_in_index_order():
     p = system("ab", ("a b", "b"), ("b", "a"), ("a b", "a"))
     w = tuple("ab")
-    assert redex_list([first_redex(w, p)]) == [("r1", 0)]
+    assert redex_list([scanned_redex(w, p)]) == [("r1", 0)]
     assert redex_list(find_redexes(w, p)) == [("r1", 0), ("r3", 0), ("r2", 1)]
     assert find_redexes(w, p) == find_redexes_oracle(w, p)
 
@@ -188,7 +188,7 @@ def test_multi_letter_generator_names():
 
 def test_empty_word():
     p = as_presentation()
-    assert first_redex((), p) is None
+    assert scanned_redex((), p) is None
     assert find_redexes((), p) == ()
     nf, path = normalize((), p)
     assert nf == () and len(path) == 0
@@ -197,11 +197,9 @@ def test_empty_word():
 def test_nonzero_start():
     p = as_presentation()
     w = tuple("aaa")
-    assert [first_redex(w, p, start).pos for start in (0, 1)] == [0, 1]
-    assert first_redex(w, p, 2) is None
-    assert first_redex(w, p, 7) is None
-    with pytest.raises(ValueError):
-        first_redex(w, p, -1)
+    assert [scanned_redex(w, p, start).pos for start in (0, 1)] == [0, 1]
+    assert scanned_redex(w, p, 2) is None
+    assert scanned_redex(w, p, 7) is None
 
 
 def test_restart_window_reaches_back_to_a_new_redex():

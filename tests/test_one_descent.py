@@ -1,10 +1,9 @@
 """Only ``rewrite._descent`` keeps ``_scan``'s stack of automaton states.
 
 ``_scan`` reads on from the last state of a stack that stays right only if
-it is cut or restarted after each step exactly as ``_descent`` does it;
-``first_redex`` scans once, from state 0.  This reads the syntax tree of
-every module under ``src/srs/`` and lists the functions that name
-``_scan`` and the modules that import it.
+it is cut or restarted after each step exactly as ``_descent`` does it.
+This reads the syntax tree of every module under ``src/srs/`` and lists the
+functions that name ``_scan`` and the modules that import it.
 """
 
 import ast
@@ -44,14 +43,14 @@ def _imports(source: str) -> bool:
     )
 
 
-def test_only_the_descent_and_first_redex_call_the_scan():
+def test_only_the_descent_calls_the_scan():
     users, importers = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         users |= {f"{path.stem}.{owner}" for owner in _users(source)}
         if _imports(source):
             importers.add(path.stem)
-    assert users == {"rewrite._descent", "rewrite.first_redex"}
+    assert users == {"rewrite._descent"}
     assert importers == set()
 
 

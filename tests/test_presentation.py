@@ -56,6 +56,23 @@ def test_parse_duplicate_generator():
         parse_presentation("generators: a a\norder: shortlex a\nrules:")
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("a", "a", "b-c"), "bad generator name 'b-c'"),
+        (("a", "b", "a"), "duplicate generator 'a'"),
+    ],
+)
+def test_the_constructor_and_the_parser_check_generators_alike(names, message):
+    """A bad name is reported before a repeated one, from either entry."""
+    order = OrderSpec("shortlex", tuple(dict.fromkeys(names)))
+    with pytest.raises(ValueError) as constructed:
+        Presentation(names, (), order)
+    with pytest.raises(ParseError) as parsed:
+        parse_presentation(f"generators: {' '.join(names)}\nrules:")
+    assert str(constructed.value) == str(parsed.value) == message
+
+
 def test_parse_duplicate_rule_id():
     text = "generators: a\norder: shortlex a\nrules:\n r: a a -> a\n r: a a a -> a"
     with pytest.raises(ParseError, match="duplicate rule id"):
