@@ -28,14 +28,12 @@ from .presentation import (
     OrderSpec,
     Presentation,
     Rule,
-    ValidationReport,
     Word,
     compare_words,
     format_word,
     parse_presentation,
     parse_word,
     print_presentation,
-    validate,
 )
 from .rewrite import (
     DEFAULT_FUEL,
@@ -49,7 +47,6 @@ from .rewrite import (
     normal_form,
     normal_path,
     normalize,
-    words_equal,
 )
 from .track import (
     compose,
@@ -73,6 +70,7 @@ from .critical import (
     generating_confluence,
     is_convergent,
     is_locally_confluent,
+    words_equal,
     words_up_to,
 )
 from .completion import (

@@ -36,7 +36,7 @@ from .rewrite import (
     _reduce,
     normal_form,
 )
-from .critical import _require_convergent, critical_branchings, generating_confluence
+from .critical import GeneratingConfluence, _require_convergent
 
 # footprint: (left class, rule id, right class) -> nonzero integer
 Footprint = dict[tuple[Word, str, Word], int]
@@ -93,7 +93,7 @@ class BasisLoop:
     """A generating confluence together with its boundary loop and an id."""
 
     basis_id: str
-    confluence: object  # GeneratingConfluence
+    confluence: GeneratingConfluence
 
     @property
     def loop(self) -> Path:
@@ -101,7 +101,8 @@ class BasisLoop:
 
 
 class _BasisIndex:
-    """Per-presentation basis: loops in canonical order, and each loop's
+    """Per-presentation basis, read from the generating confluences of the
+    local-confluence certificate: loops in canonical order, and each loop's
     branching oriented from both of its redexes.
 
     ``by_pair[(overlap, redex_a, redex_b)]`` is ``(sign, basis id,
@@ -112,17 +113,16 @@ class _BasisIndex:
     to ``p``, so a dropped presentation is freed without the collector.
     """
 
-    def __init__(self, p: Presentation):
+    def __init__(self, confluences: tuple[GeneratingConfluence, ...]):
         loops = []
         by_pair = {}
-        for n, branching in enumerate(critical_branchings(p), start=1):
-            conf = generating_confluence(branching, p)
+        for n, conf in enumerate(confluences, start=1):
             loop = BasisLoop(f"b{n}", conf)
             loops.append(loop)
-            first, second = branching.redexes
+            overlap, (first, second) = conf.branching.overlap, conf.branching.redexes
             c1, c2 = conf.completion1, conf.completion2
-            by_pair[(branching.overlap, first, second)] = (-1, loop.basis_id, c1, c2)
-            by_pair[(branching.overlap, second, first)] = (1, loop.basis_id, c2, c1)
+            by_pair[(overlap, first, second)] = (-1, loop.basis_id, c1, c2)
+            by_pair[(overlap, second, first)] = (1, loop.basis_id, c2, c1)
         self.loops: tuple[BasisLoop, ...] = tuple(loops)
         self.by_pair = by_pair
         self.by_id = {loop.basis_id: loop for loop in loops}
@@ -139,8 +139,8 @@ class _BasisIndex:
 def _basis(p: Presentation) -> _BasisIndex:
     index = p._cache.get("basis")
     if index is None:
-        _require_convergent(p)
-        index = p._cache["basis"] = _BasisIndex(p)
+        confluences = _require_convergent(p).local_confluence.confluences
+        index = p._cache["basis"] = _BasisIndex(confluences)
     return index
 
 

@@ -1,10 +1,12 @@
-"""Critical branchings, generating confluences, and convergence checking.
+"""Critical branchings, generating confluences, convergence and the word problem.
 
 Two rule occurrences in the same word either act on disjoint factors (and
 then commute by exchange) or overlap; the minimal overlaps are the
 critical branchings.  A terminating presentation is locally confluent
 exactly when every critical branching completes to a common normal form,
-and then confluent by Newman's lemma.
+and then confluent by Newman's lemma.  One pass completes each branching
+into its generating confluence: the local-confluence report carries them,
+and ``abelian`` reads the basis of identities among relations from it.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ def generating_confluence(
     Raises NotJoinableError when the branches reach distinct normal forms,
     which is precisely a local-confluence counterexample.
     """
-    step1 = Path.from_moves(b.overlap, [(b.rule1, 0, 1)])
-    step2 = Path.from_moves(b.overlap, [(b.rule2, b.offset, 1)])
+    # both redexes occur in the overlap, which is built from them
+    step1 = Path._derived(b.overlap, [(b.rule1, 0, 1)], b.targets[0])
+    step2 = Path._derived(b.overlap, [(b.rule2, b.offset, 1)], b.targets[1])
     completion1 = normalize(step1.target, p, fuel)[1]
     completion2 = normalize(step2.target, p, fuel)[1]
     if completion1.target != completion2.target:
@@ -151,7 +154,11 @@ class BranchingFailure:
 
 @dataclass(frozen=True)
 class LocalConfluenceReport:
+    """The critical branchings in canonical order, split into the failures
+    and the generating confluences of the joinable rest."""
+
     failures: tuple[BranchingFailure, ...]
+    confluences: tuple[GeneratingConfluence, ...]
 
     @property
     def ok(self) -> bool:
@@ -159,15 +166,18 @@ class LocalConfluenceReport:
 
 
 def is_locally_confluent(p: Presentation) -> LocalConfluenceReport:
-    """Check that the two sides of every critical branching have one normal
-    form; non-critical local branchings commute by exchange or reduce to a
-    containment, so they need no check."""
+    """Complete every critical branching, in canonical order, into its
+    generating confluence, or a failure when its sides (reduced left then
+    right) reach distinct normal forms.  Non-critical local branchings
+    commute by exchange or reduce to a containment, so need no check."""
     failures: list[BranchingFailure] = []
+    confluences: list[GeneratingConfluence] = []
     for b in critical_branchings(p):
-        left, right = (normal_form(p, target) for target in b.targets)
-        if left != right:
-            failures.append(BranchingFailure(b, left, right))
-    return LocalConfluenceReport(tuple(failures))
+        try:
+            confluences.append(generating_confluence(b, p))
+        except NotJoinableError as exc:
+            failures.append(BranchingFailure(b, exc.left_nf, exc.right_nf))
+    return LocalConfluenceReport(tuple(failures), tuple(confluences))
 
 
 @dataclass(frozen=True)
@@ -193,10 +203,20 @@ def is_convergent(p: Presentation) -> ConvergenceCertificate:
     return cert
 
 
-def _require_convergent(p: Presentation):
-    """The precondition of the word problem, the basis and decomposition."""
-    if not is_convergent(p).ok:
+def _require_convergent(p: Presentation) -> ConvergenceCertificate:
+    """The precondition of the word problem, the basis and decomposition:
+    the certificate, which then holds every generating confluence."""
+    cert = is_convergent(p)
+    if not cert.ok:
         raise NotConvergentError("presentation is not convergent; run 'complete' first")
+    return cert
+
+
+def words_equal(u: Word, v: Word, p: Presentation) -> bool:
+    """Decide equality in the presented monoid via normal forms; raises
+    NotConvergentError unless ``p`` is certified convergent."""
+    _require_convergent(p)
+    return normal_form(p, u) == normal_form(p, v)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ class RewritingError(Exception):
 class ParseError(RewritingError):
     """Malformed textual input (presentation files, words, paths, maps)."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
-            message = f"line {line}, col {column or 1}: {message}"
+            # every check reads a whole line, so the text names its first column
+            message = f"line {line}, col 1: {message}"
         super().__init__(message)
 
 

@@ -252,30 +252,9 @@ def compare_words(order: OrderSpec, u: Word, v: Word) -> int:
                 return LESS if rank[a] < rank[b] else GREATER
     except KeyError as exc:
         raise ValueError(f"word uses undeclared generator {exc.args[0]!r}") from None
-    if len(u) == len(v):
-        return EQUAL
-    return LESS if len(u) < len(v) else GREATER
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Rules whose orientation violates the presentation's order."""
-
-    offending: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.offending
-
-
-def validate(p: Presentation) -> ValidationReport:
-    """Report every rule with lhs <= rhs under the presentation's order."""
-    bad = tuple(
-        rule.rule_id
-        for rule in p.rules
-        if compare_words(p.order, rule.lhs, rule.rhs) is not GREATER
-    )
-    return ValidationReport(bad)
+    # equal first keys and no differing letter: every letter weighs at least
+    # 1, so neither word is a proper prefix of the other, and u == v
+    return EQUAL
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""One-step rewriting, normalization, and the word problem.
+"""One-step rewriting, normalization, and termination by order.
 
 The deterministic normalization strategy used everywhere is: leftmost
 position first, then lowest rule index.  Fixing the strategy makes every
@@ -33,9 +33,11 @@ lemma.  ``Path.walk`` replays the moves for consumers of each source word;
 kept for callers that want whole words.  The repr shows the moves.
 
 Paths are built only where their moves are read.  ``normal_form`` reads
-and fills the presentation's table of words (``_normal_forms``) and builds
-no path.  ``normal_path`` caches whole paths, keyed on the presentation; no
-library code calls it, and the benchmark's tracer reads its ``cache_info()``.
+and fills the presentation's table (``_normal_forms``), which keeps every
+word it was asked for with its normal form, and builds no path.
+``normal_path`` caches whole paths, keyed on the presentation; no library
+code calls it, and the benchmark's tracer reads its ``cache_info()``.  The
+word problem, which needs convergence, is ``critical.words_equal``.
 """
 
 from __future__ import annotations
@@ -45,15 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import FuelError, MatchError
-from .presentation import (
-    IndexAutomaton,
-    OrderSpec,
-    Presentation,
-    Rule,
-    ValidationReport,
-    Word,
-    validate,
-)
+from .presentation import GREATER, IndexAutomaton, OrderSpec, Presentation, Rule, Word, compare_words
 
 DEFAULT_FUEL = 10**6
 
@@ -378,16 +372,10 @@ def check_termination(p: Presentation) -> TerminationCertificate:
 
     Succeeds exactly when every rule decreases under the order; since the
     order is total, well-founded and compatible with concatenation on both
-    sides, this certifies that no infinite reduction sequence exists.
+    sides, this certifies that no infinite reduction sequence exists.  The
+    violations are the rules with lhs <= rhs, in rule order.
     """
-    report: ValidationReport = validate(p)
-    return TerminationCertificate(p.order, report.offending)
-
-
-def words_equal(u: Word, v: Word, p: Presentation) -> bool:
-    """Decide equality in the presented monoid via normal forms; raises
-    NotConvergentError unless ``p`` is certified convergent."""
-    from .critical import _require_convergent
-
-    _require_convergent(p)
-    return normal_form(p, u) == normal_form(p, v)
+    violations = tuple(
+        rule.rule_id for rule in p.rules if compare_words(p.order, rule.lhs, rule.rhs) != GREATER
+    )
+    return TerminationCertificate(p.order, violations)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -192,6 +193,12 @@ def test_pi_footprint_examples():
     assert acted == footprint(whisker(w("a"), beta, ()), p)
 
 
+def test_pi_footprint_rejects_an_unknown_basis_id():
+    with pytest.raises(ValueError) as info:
+        pi_footprint({(((), ()), "b2"): 1}, as_presentation())
+    assert str(info.value) == "unknown basis id 'b2'"
+
+
 def test_context_act():
     p = as_presentation()
     x = {(((), ()), "b1"): 1}
@@ -224,6 +231,18 @@ def test_verify_certificate_rejects_zero_certificate():
     assert not report.ok
     empty_loop = Path(w("aa"))
     assert verify_certificate(empty_loop, DecompositionCertificate(empty_loop, (), {}), p).ok
+
+
+def test_verify_certificate_reports_entries_that_do_not_sum_to_the_element():
+    """Each entry listed twice: the element, and so its footprint, stays
+    right, while the entries sum to twice it."""
+    p = as_presentation()
+    beta = parse_path("aaa: +r@0 -r@1", p)
+    cert = decompose_loop(beta, p)
+    doubled = dataclasses.replace(cert, entries=cert.entries * 2)
+    assert verify_certificate(beta, doubled, p).problems == (
+        "entry list does not sum to the stated element",
+    )
 
 
 # ---------------------------------------------------------------------------

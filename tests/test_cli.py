@@ -34,6 +34,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def test_check_affirmative(as_file, capsys):
     code, out, _ = run(capsys, "check", as_file)
     assert code == 0
@@ -320,3 +326,78 @@ def test_brute_force_check_of_a_long_chain_has_no_traceback(tmp_path):
     assert result.returncode in (0, 2), result.stderr
     assert "Traceback" not in result.stderr
     assert "brute force (≤1): confluent" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("generators: a\norder:\nrules:\n", "line 2, col 1: empty order specification"),
+        ("generators: a\norder: weights a\nrules:\n", "line 2, col 1: expected name=weight, got 'a'"),
+        ("generators: a\norder: lex a\nrules:\n", "line 2, col 1: unknown order kind 'lex'"),
+        ("generators: a\nrules:\n a a -> a\n", "line 3, col 1: expected '<id>: <lhs> -> <rhs>'"),
+        ("generators: a\nrules:\n r: a a a\n", "line 3, col 1: rule is missing '->'"),
+    ],
+)
+def test_a_malformed_presentation_is_a_diagnostic(tmp_path, capsys, text, message):
+    assert run(capsys, "check", write(tmp_path, "bad.pres", text)) == (2, "", f"srs: {message}\n")
+
+
+def test_an_unindented_line_after_rules_is_a_rule(tmp_path, capsys):
+    path = write(tmp_path, "flush.pres", "generators: a\nrules:\nr: a a -> a\n")
+    assert run(capsys, "pi-basis", path) == (0, "b1: aaa: +r@0 -r@1\npi generated by 1 element(s)\n", "")
+
+
+@pytest.mark.parametrize(
+    "map_text, message",
+    [
+        ("forward a -> b\n", "line 1, col 1: expected 'forward: <gen> -> <word>'"),
+        ("forward: a -> b\nsideways: b -> a\n", "line 2, col 1: expected 'forward: <gen> -> <word>'"),
+        ("forward: a b\n", "line 1, col 1: expected 'forward: <gen> -> <word>'"),
+        ("forward: a -> b\nforward: x -> b\n", "line 2, col 1: unknown source generator 'x'"),
+        ("forward: a -> b\nbackward: a -> a\n", "line 2, col 1: unknown target generator 'a'"),
+    ],
+)
+def test_a_malformed_map_is_a_diagnostic(as_file, tmp_path, capsys, map_text, message):
+    ups = write(tmp_path, "ups.pres", UPSILON_TEXT)
+    mapping = write(tmp_path, "map.txt", map_text)
+    assert run(capsys, "transport", as_file, ups, mapping) == (2, "", f"srs: {message}\n")
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_transport_needs_both_presentations_convergent(two_file, tmp_path, capsys, side):
+    idempotent = write(tmp_path, "c.pres", "generators: c\nrules:\n s: c c -> c\n")
+    if side == "source":
+        mapping = "forward: a -> c\nforward: b -> c\nbackward: c -> a\n"
+        argv = (two_file, idempotent)
+    else:
+        mapping = "forward: c -> a\nbackward: a -> c\nbackward: b -> c\n"
+        argv = (idempotent, two_file)
+    code_out_err = run(capsys, "transport", *argv, write(tmp_path, "map.txt", mapping))
+    assert code_out_err == (2, "", f"srs: {side} presentation is not convergent\n")
+
+
+def test_transport_rejects_a_map_under_which_a_rule_breaks(as_file, tmp_path, capsys):
+    """Under a -> b, the sides of r: a a -> a become b b and b, distinct
+    where b b b -> b is the only rule."""
+    cubic = write(tmp_path, "cubic.pres", "generators: b\nrules:\n s: b b b -> b\n")
+    mapping = write(tmp_path, "map.txt", "forward: a -> b\nbackward: b -> a\n")
+    assert run(capsys, "transport", as_file, cubic, mapping) == (
+        1,
+        "translation: rejected\n  rule r: translated sides differ\n",
+        "",
+    )
+
+
+def test_path_text_without_a_colon_reads_its_first_token_as_the_word(as_file, capsys):
+    expected = (0, "footprint = +1·(ε, r, a) -1·(a, r, ε)\n", "")
+    assert run(capsys, "footprint", as_file, "aaa +r@0 -r@1") == expected
+    assert run(capsys, "footprint", as_file, "aaa: +r@0 -r@1") == expected
+
+
+@pytest.mark.parametrize("command", ["decompose", "footprint"])
+def test_a_bad_step_token_is_a_diagnostic(as_file, capsys, command):
+    assert run(capsys, command, as_file, "aaa: +r@0 r@1") == (
+        2,
+        "",
+        "srs: bad step 'r@1', expected ±<rule>@<pos>\n",
+    )

@@ -251,9 +251,10 @@ def test_brute_force_keeps_each_distinct_child_once(monkeypatch):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 2**32 - 1))
 def test_branchings_check_and_loops_match_the_path_algebra_oracle(seed):
-    """Local confluence compares normal forms and reports the failures that
-    building each loop reports, and each loop is the free-reduced composite
-    of the branching's steps and completions."""
+    """Local confluence reports the branchings whose targets reach distinct
+    normal forms, and the generating confluences of the rest, in order; each
+    loop is the free-reduced composite of the branching's steps and
+    completions."""
     rng = random.Random(seed)
     p = random_terminating_presentation(rng)
     systems = [p]
@@ -262,10 +263,11 @@ def test_branchings_check_and_loops_match_the_path_algebra_oracle(seed):
     except FuelError:
         pass
     for q in systems:
-        failures = is_locally_confluent(q).failures
-        assert failures == local_confluence_failures_oracle(q)
-        failed = [f.branching for f in failures]
-        for b in critical_branchings(q):
-            if b not in failed:
-                expected = generating_confluence_loop_oracle(b, q)
-                assert generating_confluence(b, q).loop == expected
+        report = is_locally_confluent(q)
+        assert report.failures == local_confluence_failures_oracle(q)
+        failed = [f.branching for f in report.failures]
+        joinable = [b for b in critical_branchings(q) if b not in failed]
+        assert [c.branching for c in report.confluences] == joinable
+        for b, conf in zip(joinable, report.confluences):
+            expected = generating_confluence_loop_oracle(b, q)
+            assert conf.loop == expected == generating_confluence(b, q).loop

@@ -12,6 +12,7 @@ from srs import (
     ParseError,
     Presentation,
     Rule,
+    check_termination,
     compare_words,
     format_word,
     is_convergent,
@@ -19,7 +20,6 @@ from srs import (
     parse_presentation,
     parse_word,
     print_presentation,
-    validate,
 )
 from helpers import as_presentation, two_rule_presentation, w
 
@@ -117,7 +117,7 @@ def test_parse_weighted_order():
     )
     assert p.order.kind == "weighted-shortlex"
     assert p.order.weight == {"a": 3, "b": 1}
-    assert validate(p).ok  # weight 3 > 2, despite the length increase
+    assert check_termination(p).ok  # weight 3 > 2, despite the length increase
 
 
 def test_order_must_cover_alphabet():
@@ -173,22 +173,22 @@ def test_compare_compatible_with_concatenation():
 
 
 def test_validate_as_is_clean():
-    assert validate(as_presentation()).ok
+    assert check_termination(as_presentation()).ok
 
 
 def test_validate_flags_growing_rule():
     p = parse_presentation("generators: a\norder: shortlex a\nrules:\n r: a -> a a")
-    report = validate(p)
+    report = check_termination(p)
     assert not report.ok
-    assert report.offending == ("r",)
+    assert report.violations == ("r",)
 
 
 def test_validate_flags_lex_violation():
     p = parse_presentation(
         "generators: a b\norder: shortlex a < b\nrules:\n r: a b -> b a"
     )
-    report = validate(p)
-    assert report.offending == ("r",)
+    report = check_termination(p)
+    assert report.violations == ("r",)
 
 
 def test_round_trip_print_parse():

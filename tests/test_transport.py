@@ -72,6 +72,17 @@ def test_check_translation_degenerate_map_fails_round_trip():
     assert any("round trip" in msg for msg in report.failures)
 
 
+def test_transported_generators_rejects_a_map_that_fails_its_check():
+    sigma = as_presentation()
+    tau = parse_presentation("generators: b\norder: shortlex b\nrules:\n s: b b -> b")
+    m = TranslationMap((("a", ()),), (("b", w("a")),))
+    with pytest.raises(TranslationError) as info:
+        transported_generators(sigma, tau, m, ())
+    assert str(info.value) == (
+        "generator a: round trip is not the identity; generator b: round trip is not the identity"
+    )
+
+
 def test_map_must_cover_all_generators():
     with pytest.raises(TranslationError, match="cover"):
         parse_translation_map("forward: a -> b\nbackward: b -> a\n", as_presentation(), upsilon())
