@@ -13,7 +13,6 @@ from .errors import (
     FuelError,
     MatchError,
     NotConvergentError,
-    NotJoinableError,
     NotTerminatingError,
     ParseError,
     RewritingError,

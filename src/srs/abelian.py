@@ -139,8 +139,9 @@ class _BasisIndex:
 def _basis(p: Presentation) -> _BasisIndex:
     index = p._cache.get("basis")
     if index is None:
-        confluences = _require_convergent(p).local_confluence.confluences
-        index = p._cache["basis"] = _BasisIndex(confluences)
+        # convergent, so every outcome is a generating confluence
+        outcomes = _require_convergent(p).local_confluence.outcomes
+        index = p._cache["basis"] = _BasisIndex(outcomes)
     return index
 
 

@@ -18,11 +18,7 @@ import sys
 from pathlib import Path as FilePath
 
 from . import abelian, completion, critical, rewrite, track, transport
-from .errors import (
-    NotJoinableError,
-    NotTerminatingError,
-    RewritingError,
-)
+from .errors import NotTerminatingError, RewritingError
 from .presentation import (
     Presentation,
     format_word,
@@ -185,31 +181,28 @@ def _text_equal(payload: dict) -> list[str]:
 def _cmd_critical_pairs(args) -> tuple[int, dict]:
     p = _load(args.presentation)
     _require_terminating(p, args)
-    items = []
-    for b in critical.critical_branchings(p):
-        entry = {
-            "overlap": format_word(b.overlap, p),
-            "rule1": b.rule1.rule_id,
-            "rule2": b.rule2.rule_id,
-            "offset": b.offset,
-            "kind": b.kind,
-        }
-        try:
-            conf = critical.generating_confluence(b, p, args.fuel)
-            entry["joinable"] = True
-            entry["loop"] = track.format_path(conf.loop, p)
-        except NotJoinableError as exc:
-            entry["joinable"] = False
-            entry["normal_forms"] = [
-                format_word(exc.left_nf, p),
-                format_word(exc.right_nf, p),
-            ]
-        items.append(entry)
-    all_joinable = all(entry["joinable"] for entry in items)
-    return (0 if all_joinable else 1), {
-        "branchings": items,
-        "locally_confluent": all_joinable,
+    report = critical.is_locally_confluent(p, args.fuel)
+    return (0 if report.ok else 1), {
+        "branchings": [_outcome_json(outcome, p) for outcome in report.outcomes],
+        "locally_confluent": report.ok,
     }
+
+
+def _outcome_json(outcome, p: Presentation) -> dict:
+    b = outcome.branching
+    entry = {
+        "overlap": format_word(b.overlap, p),
+        "rule1": b.rule1.rule_id,
+        "rule2": b.rule2.rule_id,
+        "offset": b.offset,
+        "kind": b.kind,
+        "joinable": isinstance(outcome, critical.GeneratingConfluence),
+    }
+    if entry["joinable"]:
+        entry["loop"] = track.format_path(outcome.loop, p)
+    else:
+        entry["normal_forms"] = [format_word(outcome.left_nf, p), format_word(outcome.right_nf, p)]
+    return entry
 
 
 def _text_critical_pairs(payload: dict) -> list[str]:

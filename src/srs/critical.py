@@ -5,8 +5,9 @@ then commute by exchange) or overlap; the minimal overlaps are the
 critical branchings.  A terminating presentation is locally confluent
 exactly when every critical branching completes to a common normal form,
 and then confluent by Newman's lemma.  One pass completes each branching
-into its generating confluence: the local-confluence report carries them,
-and ``abelian`` reads the basis of identities among relations from it.
+into one outcome, its generating confluence or its failure: the report of
+these outcomes is what ``srs critical-pairs`` prints, and ``abelian`` reads
+the basis of identities among relations from it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import FuelError, NotConvergentError, NotJoinableError, NotTerminatingError
+from .errors import FuelError, NotConvergentError, NotTerminatingError
 from .presentation import Presentation, Rule, Word
 from .rewrite import (
     DEFAULT_FUEL,
@@ -122,22 +123,28 @@ class GeneratingConfluence:
     loop: Path
 
 
+@dataclass(frozen=True)
+class BranchingFailure:
+    """A critical branching whose sides reach distinct normal forms."""
+
+    branching: CriticalBranching
+    left_nf: Word
+    right_nf: Word
+
+
 def generating_confluence(
     b: CriticalBranching, p: Presentation, fuel: int = DEFAULT_FUEL
-) -> GeneratingConfluence:
+) -> GeneratingConfluence | BranchingFailure:
     """Complete both branches with the canonical strategy, each within
-    ``fuel`` steps (FuelError past that).
-
-    Raises NotJoinableError when the branches reach distinct normal forms,
-    which is precisely a local-confluence counterexample.
-    """
+    ``fuel`` steps (FuelError past that), into the branching's generating
+    confluence, or its failure when they reach distinct normal forms."""
     # both redexes occur in the overlap, which is built from them
     step1 = Path._derived(b.overlap, [(b.rule1, 0, 1)], b.targets[0])
     step2 = Path._derived(b.overlap, [(b.rule2, b.offset, 1)], b.targets[1])
     completion1 = normalize(step1.target, p, fuel)[1]
     completion2 = normalize(step2.target, p, fuel)[1]
     if completion1.target != completion2.target:
-        raise NotJoinableError(b, completion1.target, completion2.target)
+        return BranchingFailure(b, completion1.target, completion2.target)
     back = [(rule, pos, -sign) for rule, pos, sign in reversed(step2.moves + completion2.moves)]
     # free-reduced moves of checked completions, closed at the overlap
     moves = _free_reduced(step1.moves + completion1.moves + tuple(back))
@@ -146,38 +153,28 @@ def generating_confluence(
 
 
 @dataclass(frozen=True)
-class BranchingFailure:
-    branching: CriticalBranching
-    left_nf: Word
-    right_nf: Word
-
-
-@dataclass(frozen=True)
 class LocalConfluenceReport:
-    """The critical branchings in canonical order, split into the failures
-    and the generating confluences of the joinable rest."""
+    """The outcome of every critical branching, in canonical order: its
+    generating confluence, or its failure."""
 
-    failures: tuple[BranchingFailure, ...]
-    confluences: tuple[GeneratingConfluence, ...]
+    outcomes: tuple[GeneratingConfluence | BranchingFailure, ...]
+
+    @cached_property
+    def failures(self) -> tuple[BranchingFailure, ...]:
+        # built once: every precondition check reads ``ok``
+        return tuple(o for o in self.outcomes if isinstance(o, BranchingFailure))
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def is_locally_confluent(p: Presentation) -> LocalConfluenceReport:
-    """Complete every critical branching, in canonical order, into its
-    generating confluence, or a failure when its sides (reduced left then
-    right) reach distinct normal forms.  Non-critical local branchings
-    commute by exchange or reduce to a containment, so need no check."""
-    failures: list[BranchingFailure] = []
-    confluences: list[GeneratingConfluence] = []
-    for b in critical_branchings(p):
-        try:
-            confluences.append(generating_confluence(b, p))
-        except NotJoinableError as exc:
-            failures.append(BranchingFailure(b, exc.left_nf, exc.right_nf))
-    return LocalConfluenceReport(tuple(failures), tuple(confluences))
+def is_locally_confluent(p: Presentation, fuel: int = DEFAULT_FUEL) -> LocalConfluenceReport:
+    """Complete every critical branching, each side within ``fuel`` steps.
+    Non-critical local branchings commute by exchange or reduce to a
+    containment, so need no check."""
+    outcomes = tuple(generating_confluence(b, p, fuel) for b in critical_branchings(p))
+    return LocalConfluenceReport(outcomes)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A critical branching that
+does not join is a result, ``critical.BranchingFailure``, not an error."""
 
 from __future__ import annotations
 
@@ -40,18 +41,6 @@ class NotTerminatingError(RewritingError):
 
 class NotConvergentError(RewritingError):
     """An operation requiring a convergence certificate was refused."""
-
-
-class NotJoinableError(RewritingError):
-    """A critical branching completes to two distinct normal forms."""
-
-    def __init__(self, branching, left_nf, right_nf):
-        self.branching = branching
-        self.left_nf = left_nf
-        self.right_nf = right_nf
-        super().__init__(
-            f"branching on {''.join(branching.overlap)!r} is not joinable"
-        )
 
 
 class UnorientableError(RewritingError):

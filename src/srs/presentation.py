@@ -375,7 +375,7 @@ def _parse_order(order_line: tuple[int, str] | None, names: tuple[str, ...]) -> 
             if "=" not in tok:
                 raise ParseError(f"expected name=weight, got {tok!r}", lineno)
             name, _, value = tok.partition("=")
-            if not value.isdigit() or int(value) <= 0:
+            if not value.isdecimal() or int(value) <= 0:
                 raise ParseError(f"weight of {name!r} must be a positive integer", lineno)
             precedence_list.append(name)
             weight_list.append((name, int(value)))

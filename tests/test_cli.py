@@ -6,10 +6,11 @@ from pathlib import Path as FilePath
 import pytest
 
 import srs
-from srs import abelian, cli
+from srs import abelian, cli, critical, format_path, parse_presentation
 from srs.cli import _build_parser, main
 from helpers import AS_TEXT, TWO_TEXT
 
+A5_COMPLETED = FilePath(__file__).resolve().parents[1] / "srsbench" / "inputs" / "a5_completed.pres"
 UPSILON_TEXT = "generators: b e\norder: shortlex b < e\nrules:\n u1: b b -> b\n u2: e ->\n"
 MAP_TEXT = "forward: a -> b\nbackward: b -> a\nbackward: e -> ε\n"
 
@@ -333,6 +334,7 @@ def test_brute_force_check_of_a_long_chain_has_no_traceback(tmp_path):
     [
         ("generators: a\norder:\nrules:\n", "line 2, col 1: empty order specification"),
         ("generators: a\norder: weights a\nrules:\n", "line 2, col 1: expected name=weight, got 'a'"),
+        ("generators: a\norder: weights a=³\nrules:\n", "line 2, col 1: weight of 'a' must be a positive integer"),
         ("generators: a\norder: lex a\nrules:\n", "line 2, col 1: unknown order kind 'lex'"),
         ("generators: a\nrules:\n a a -> a\n", "line 3, col 1: expected '<id>: <lhs> -> <rhs>'"),
         ("generators: a\nrules:\n r: a a a\n", "line 3, col 1: rule is missing '->'"),
@@ -401,3 +403,19 @@ def test_a_bad_step_token_is_a_diagnostic(as_file, capsys, command):
         "",
         "srs: bad step 'r@1', expected ±<rule>@<pos>\n",
     )
+
+
+def test_critical_pairs_prints_the_local_confluence_report(capsys):
+    """Completed A5 has 184 critical branchings, all joinable, more than
+    any golden case: ``critical-pairs`` prints each with the loop of the
+    matching outcome of the local-confluence report."""
+    code, out, err = run(capsys, "critical-pairs", str(A5_COMPLETED))
+    assert (code, err) == (0, "")
+    p = parse_presentation(A5_COMPLETED.read_text(encoding="utf-8"))
+    outcomes = critical.is_locally_confluent(p).outcomes
+    lines = out.splitlines()
+    assert len(lines) == 2 * len(outcomes) == 2 * 184
+    assert all(line.endswith(" joinable=true") for line in lines[::2])
+    assert [line for line in lines if line.startswith("  loop: ")] == [
+        f"  loop: {format_path(o.loop, p)}" for o in outcomes
+    ]

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from srs import (
+    BranchingFailure,
     FuelError,
-    NotJoinableError,
+    GeneratingConfluence,
     NotTerminatingError,
     brute_force_confluence,
     critical_branchings,
@@ -31,7 +33,8 @@ from helpers import (
     w,
 )
 
-CHAIN = Path(__file__).parent / "golden" / "inputs" / "chain.pres"
+GOLDEN = Path(__file__).parent / "golden"
+CHAIN = GOLDEN / "inputs" / "chain.pres"
 
 
 def test_as_has_exactly_one_branching():
@@ -97,9 +100,10 @@ def test_generating_confluence_as():
 def test_generating_confluence_not_joinable():
     p = two_rule_presentation()
     b = critical_branchings(p)[0]  # overlap aba
-    with pytest.raises(NotJoinableError) as excinfo:
-        generating_confluence(b, p)
-    assert {excinfo.value.left_nf, excinfo.value.right_nf} == {w("aa"), w("a")}
+    failure = generating_confluence(b, p)
+    assert isinstance(failure, BranchingFailure)
+    assert failure.branching == b
+    assert {failure.left_nf, failure.right_nf} == {w("aa"), w("a")}
 
 
 def test_generating_confluence_duplicate_rules_two_step_loop():
@@ -118,8 +122,20 @@ def test_is_locally_confluent():
     report = is_locally_confluent(two_rule_presentation())
     assert not report.ok
     assert len(report.failures) == 2
+    assert report.failures is report.failures  # built once, not on each read of ``ok``
     empty = parse_presentation("generators: a\norder: shortlex a\nrules:")
     assert is_locally_confluent(empty).ok
+
+
+def test_local_confluence_completes_each_side_within_the_fuel():
+    """``srs critical-pairs --fuel`` passes its fuel to the report, so the
+    report fails as the golden case does: on grow_two, r1: a -> a a rewrites
+    the first side, a a, for ever, and 5 steps do not reach a normal form."""
+    p = parse_presentation((GOLDEN / "inputs" / "grow_two.pres").read_text(encoding="utf-8"))
+    with pytest.raises(FuelError) as excinfo:
+        is_locally_confluent(p, fuel=5)
+    expected = json.loads((GOLDEN / "results.json").read_text(encoding="utf-8"))
+    assert f"srs: {excinfo.value}\n" == expected["critical_pairs_out_of_fuel.txt"]["stderr"]
 
 
 def test_is_convergent():
@@ -267,7 +283,8 @@ def test_branchings_check_and_loops_match_the_path_algebra_oracle(seed):
         assert report.failures == local_confluence_failures_oracle(q)
         failed = [f.branching for f in report.failures]
         joinable = [b for b in critical_branchings(q) if b not in failed]
-        assert [c.branching for c in report.confluences] == joinable
-        for b, conf in zip(joinable, report.confluences):
+        confluences = [o for o in report.outcomes if isinstance(o, GeneratingConfluence)]
+        assert [c.branching for c in confluences] == joinable
+        for b, conf in zip(joinable, confluences):
             expected = generating_confluence_loop_oracle(b, q)
             assert conf.loop == expected == generating_confluence(b, q).loop

@@ -133,3 +133,43 @@ def test_the_check_finds_every_import():
     ]
     assert _violations("abelian", "from .completion import knuth_bendix\n") == ["abelian imports completion"]
     assert _violations("cli", source) == ["cli imports __init__", "cli imports cli"]
+
+
+PASS = {"critical_branchings", "generating_confluence"}
+
+
+def _pass_users(source: str) -> set[str]:
+    """The names of ``PASS`` that the source uses, as a variable or an
+    attribute (a definition or an import alone uses none)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & PASS
+
+
+def test_only_critical_runs_the_pass_over_the_branchings():
+    """``critical.is_locally_confluent`` is the one pass that lists the
+    critical branchings and completes each; every other module, the CLI
+    included, reads its report."""
+    users = {
+        path.stem: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := _pass_users(path.read_text(encoding="utf-8")))
+    }
+    assert users == {"critical": PASS}
+
+
+def test_the_check_finds_every_use_of_the_pass():
+    source = (
+        "from .critical import critical_branchings, generating_confluence\n"
+        "def generating_confluence(b, p): ...\n"
+        "outcomes = [critical.generating_confluence(b, p) for b in items]\n"
+        "listing = critical_branchings\n"
+        "name = 'critical_branchings'\n"
+    )
+    assert _pass_users(source) == PASS
+    assert _pass_users(source.split("\n", 2)[2]) == PASS
+    assert _pass_users("from .critical import critical_branchings\ndef generating_confluence(): ...\n") == set()

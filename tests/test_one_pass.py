@@ -8,6 +8,7 @@ import sys
 from pathlib import Path as FilePath
 
 from srs import (
+    GeneratingConfluence,
     basis_loops,
     critical,
     critical_branchings,
@@ -21,6 +22,10 @@ from srs import (
 from helpers import two_rule_presentation, w
 
 A5_COMPLETED = FilePath(__file__).resolve().parents[1] / "srsbench" / "inputs" / "a5_completed.pres"
+
+
+def confluences(report) -> list[GeneratingConfluence]:
+    return [o for o in report.outcomes if isinstance(o, GeneratingConfluence)]
 
 
 def counted_calls(monkeypatch, module, name) -> list:
@@ -54,8 +59,8 @@ def test_convergence_then_basis_lists_and_completes_each_branching_once(monkeypa
     assert len(expected) == 184
     assert [loop.basis_id for loop in loops] == [f"b{n}" for n in range(1, 185)]
     assert [format_path(loop.loop, p) for loop in loops] == expected
-    confluences = is_convergent(p).local_confluence.confluences
-    assert all(loop.confluence is c for loop, c in zip(loops, confluences, strict=True))
+    outcomes = is_convergent(p).local_confluence.outcomes
+    assert all(loop.confluence is c for loop, c in zip(loops, outcomes, strict=True))
 
 
 def test_the_failures_are_those_of_the_two_rule_system():
@@ -64,7 +69,7 @@ def test_the_failures_are_those_of_the_two_rule_system():
         (f.branching.rule1.rule_id, f.branching.rule2.rule_id, f.branching.overlap, f.left_nf, f.right_nf)
         for f in report.failures
     ] == [("r1", "r2", w("aba"), w("aa"), w("a")), ("r2", "r1", w("bab"), w("bb"), w("b"))]
-    assert report.confluences == ()
+    assert confluences(report) == []
 
 
 def test_a_report_holds_the_failures_and_the_confluences_of_the_joinable_rest():
@@ -75,7 +80,7 @@ def test_a_report_holds_the_failures_and_the_confluences_of_the_joinable_rest():
     assert [(f.branching.overlap, f.left_nf, f.right_nf) for f in report.failures] == [
         (w("bab"), w("bb"), w("b"))
     ]
-    assert [format_path(c.loop, p) for c in report.confluences] == [
+    assert [format_path(c.loop, p) for c in confluences(report)] == [
         "aba: +r1@0 +r3@0 -r1@0 -r2@1",
         "baa: +r2@0 -r3@1",
         "aab: +r3@0 +r1@0 -r3@0 -r1@1",
@@ -83,4 +88,5 @@ def test_a_report_holds_the_failures_and_the_confluences_of_the_joinable_rest():
     ]
     failed = report.failures[0].branching
     rest = [b for b in critical_branchings(p) if b != failed]
-    assert list(report.confluences) == [generating_confluence(b, p) for b in rest]
+    assert confluences(report) == [generating_confluence(b, p) for b in rest]
+    assert list(report.outcomes) == [generating_confluence(b, p) for b in critical_branchings(p)]
