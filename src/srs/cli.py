@@ -3,7 +3,9 @@
 Exit status: 0 for a successful or affirmative run, 1 for a negative
 result (not convergent, not equal, not joinable, translation rejected,
 certificate replay failed),
-2 for usage, parse, or precondition errors (diagnostic on stderr).
+2 for usage, parse, or precondition errors (diagnostic on stderr), and
+when standard output is closed before the output is written, as by
+``srs normalize ... | head -c 10`` (no diagnostic, no traceback).
 Output is deterministic.  Each command computes one JSON document;
 ``--format json`` prints it with a top-level ``"schema": 1`` field, and
 the text output is rendered from it, so both carry the same data.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path as FilePath
 
@@ -159,11 +162,9 @@ def _text_normalize(payload: dict) -> list[str]:
 
 def _cmd_equal(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    critical._require_convergent(p)
-    u = parse_word(args.left, p)
-    v = parse_word(args.right, p)
-    nf_u = rewrite.normal_form(p, u)
-    nf_v = rewrite.normal_form(p, v)
+    classes = critical._classes(p)
+    nf_u = classes.form(parse_word(args.left, p))
+    nf_v = classes.form(parse_word(args.right, p))
     payload = {
         "equal": nf_u == nf_v,
         "normal_forms": [format_word(nf_u, p), format_word(nf_v, p)],
@@ -433,12 +434,19 @@ def main(argv: list[str] | None = None) -> int:
     except (RewritingError, ValueError, RecursionError, MemoryError) as exc:
         print(f"srs: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        document = {"schema": SCHEMA, "command": args.command, **payload}
-        print(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        for line in args.render(payload):
-            print(line)
+    try:
+        if args.format == "json":
+            document = {"schema": SCHEMA, "command": args.command, **payload}
+            print(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False))
+        else:
+            for line in args.render(payload):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # exit writes nowhere (the recipe in the docs of ``signal``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return status
 
 

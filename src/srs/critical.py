@@ -8,6 +8,13 @@ and then confluent by Newman's lemma.  One pass completes each branching
 into one outcome, its generating confluence or its failure: the report of
 these outcomes is what ``srs critical-pairs`` prints, and ``abelian`` reads
 the basis of identities among relations from it.
+
+Once a presentation is certified convergent (``_require_convergent``), its
+normal forms are read through one table of its classes (``_classes``):
+nf(u·x) = nf(nf(u)·x), so a row per class, filled one letter at a time,
+answers every word.  The word problem, footprints, basis representations,
+translation checks and ``srs equal`` read it; its memory follows the
+classes and letters met, not the words asked for.
 """
 
 from __future__ import annotations
@@ -17,14 +24,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FuelError, NotConvergentError, NotTerminatingError
-from .presentation import Presentation, Rule, Word
+from .presentation import IndexAutomaton, Presentation, Rule, Word
 from .rewrite import (
     DEFAULT_FUEL,
     Path,
     TerminationCertificate,
     _matches,
+    _reduce,
     check_termination,
-    normal_form,
     normalize,
 )
 from .track import _free_reduced
@@ -209,11 +216,64 @@ def _require_convergent(p: Presentation) -> ConvergenceCertificate:
     return cert
 
 
+class _Classes:
+    """The classes of a convergent presentation, read letter by letter.
+
+    ``words[c]`` is the normal form of class ``c``, ``ids`` maps it back to
+    ``c``, and ``rows[c][x]`` is the class of ``words[c] + (x,)``; class 0
+    is ε's.  In a convergent system nf(u·x) = nf(nf(u)·x), so reading a
+    word folds its letters through the rows from a class.  A missing
+    transition costs one reduction of its class word plus the letter, with
+    the default fuel, and adds that row entry and at most one class.  The
+    table is kept in ``p._cache`` and holds the automaton, not ``p``.
+    """
+
+    def __init__(self, index: IndexAutomaton):
+        self.index = index
+        self.words: list[Word] = [()]
+        self.ids: dict[Word, int] = {(): 0}
+        self.rows: list[dict[str, int]] = [{}]
+
+    def read(self, w: Word, c: int = 0) -> int:
+        """The class of ``words[c] + w``."""
+        rows = self.rows
+        for x in w:
+            try:
+                c = rows[c][x]
+            except KeyError:
+                c = self._fill(c, x)
+        return c
+
+    def form(self, w: Word) -> Word:
+        """The normal form of ``w``."""
+        return self.words[self.read(w)]
+
+    def _fill(self, c: int, x: str) -> int:
+        nf = _reduce(self.words[c] + (x,), self.index)[0]
+        d = self.ids.get(nf)
+        if d is None:
+            d = self.ids[nf] = len(self.words)
+            self.words.append(nf)
+            self.rows.append({})
+        self.rows[c][x] = d
+        return d
+
+
+def _classes(p: Presentation) -> _Classes:
+    """The table of ``p``'s classes; raises NotConvergentError unless ``p``
+    is certified convergent, so no other presentation gets one."""
+    table = p._cache.get("classes")
+    if table is None:
+        _require_convergent(p)
+        table = p._cache["classes"] = _Classes(p.index_automaton)
+    return table
+
+
 def words_equal(u: Word, v: Word, p: Presentation) -> bool:
     """Decide equality in the presented monoid via normal forms; raises
     NotConvergentError unless ``p`` is certified convergent."""
-    _require_convergent(p)
-    return normal_form(p, u) == normal_form(p, v)
+    classes = _classes(p)
+    return classes.read(u) == classes.read(v)
 
 
 @dataclass(frozen=True)

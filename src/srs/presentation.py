@@ -209,14 +209,10 @@ class Presentation:
         return IndexAutomaton.of(self.generators, self.rules)
 
     @cached_property
-    def _normal_forms(self) -> dict[Word, Word]:
-        # word -> normal form (default fuel), filled by ``rewrite.normal_form``;
-        # a word holds only strings, so the collector does not track it
-        return {}
-
-    @cached_property
     def _cache(self) -> dict:
-        # derived values: "convergence", "basis", rule images by pair of words
+        # derived values: "convergence", "basis", "classes" (the table of
+        # classes that ``critical._classes`` alone reads and fills), and rule
+        # images by pair of words; none refers back to the presentation
         return {}
 
     @cached_property

@@ -32,12 +32,14 @@ lemma.  ``Path.walk`` replays the moves for consumers of each source word;
 ``Path.steps`` builds ``RewriteStep`` values afresh on each read and is
 kept for callers that want whole words.  The repr shows the moves.
 
-Paths are built only where their moves are read.  ``normal_form`` reads
-and fills the presentation's table (``_normal_forms``), which keeps every
-word it was asked for with its normal form, and builds no path.
+Paths are built only where their moves are read.  ``normal_form``
+reduces its word afresh and builds no path; no library code calls it.
 ``normal_path`` caches whole paths, keyed on the presentation; no library
-code calls it, and the benchmark's tracer reads its ``cache_info()``.  The
-word problem, which needs convergence, is ``critical.words_equal``.
+code calls it either, and the benchmark's tracer reads its
+``cache_info()``.  The normal forms the library reads (the word problem,
+footprints, basis representations, translation checks) need convergence,
+and come from the one memo of a convergent presentation, its table of
+classes in ``critical``, which keeps a row per class, not every word.
 """
 
 from __future__ import annotations
@@ -346,13 +348,9 @@ def normal_path(p: Presentation, w: Word) -> Path:
 
 
 def normal_form(p: Presentation, w: Word) -> Word:
-    """The normal form of ``w`` (default fuel), kept in the presentation's
-    table of words; no path is built."""
-    table = p._normal_forms
-    nf = table.get(w)
-    if nf is None:
-        nf = table[w] = _reduce(w, p.index_automaton)[0]
-    return nf
+    """The normal form of ``w`` (default fuel) under the leftmost-lowest
+    strategy, on any presentation; no path is built and nothing is kept."""
+    return _reduce(w, p.index_automaton)[0]
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,23 @@ def test_brute_force_check_of_a_long_chain_has_no_traceback(tmp_path):
     assert "brute force (≤1): confluent" in result.stdout
 
 
+def test_a_closed_pipe_ends_the_run_without_a_traceback(as_file):
+    """The path of a^20000 to a is 120,018 bytes of text, more than a pipe
+    holds; the reader takes 10 bytes and closes the pipe, as ``head -c 10``
+    does, so a write fails with EPIPE."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "srs.cli", "normalize", as_file, "a" * 20000],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(FilePath(srs.__file__).resolve().parent.parent)},
+    )
+    assert process.stdout.read(10) == b"normal for"
+    process.stdout.close()
+    err = process.stderr.read().decode()
+    assert process.wait(timeout=120) == 2
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

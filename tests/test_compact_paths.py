@@ -33,6 +33,7 @@ from srs import (
     verify_certificate,
 )
 from srs import rewrite
+from srs.critical import _classes
 from helpers import (
     alt_normal_path,
     as_presentation,
@@ -220,9 +221,9 @@ def test_a_stored_path_holds_under_a_megabyte():
 
 def test_loops_keep_no_normal_paths(monkeypatch):
     """Footprints, certificate replay and decomposition read normal forms
-    from the presentation's table of words and take conjugators from
+    from the presentation's table of classes and take conjugators from
     reductions of their own: none adds to the ``normal_path`` cache, and
-    ``normal_form`` builds no path."""
+    neither the table nor ``normal_form`` builds a path."""
     p = parse_presentation(SORTING_TEXT)
     loop = random_loop(random.Random(11), p, tuple(bl.loop for bl in basis_loops(p)), max_len=8)
     cached = rewrite.normal_path.cache_info().currsize
@@ -230,12 +231,15 @@ def test_loops_keep_no_normal_paths(monkeypatch):
     assert verify_certificate(loop, cert, p).ok
     footprint(loop, p)
     assert rewrite.normal_path.cache_info().currsize == cached
+    assert "classes" in p._cache
     fresh = parse_presentation(SORTING_TEXT)
     words = [source for source, *_ in loop.walk()]
     forms = [normalize(word, fresh)[0] for word in words]
+    classes = _classes(fresh)  # the convergence check builds its paths
     monkeypatch.setattr(rewrite, "_stored", lambda *fields: pytest.fail("a path was built"))
     assert [normal_form(fresh, word) for word in words] == forms
-    assert all(fresh._normal_forms[word] == form for word, form in zip(words, forms))
+    assert [classes.form(word) for word in words] == forms
+    assert all(classes.read(word) == classes.ids[form] for word, form in zip(words, forms))
 
 
 def test_library_code_reads_no_steps(monkeypatch):

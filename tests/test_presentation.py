@@ -20,6 +20,7 @@ from srs import (
     parse_presentation,
     parse_word,
     print_presentation,
+    words_equal,
 )
 from helpers import as_presentation, two_rule_presentation, w
 
@@ -252,14 +253,18 @@ def test_presentation_invariants():
 def test_the_hash_is_kept_and_left_out_of_pickles():
     p = as_presentation()
     assert hash(p) == hash((p.generators, p.rules, p.order)) == hash(as_presentation())
-    assert normal_form(p, w("aaa")) == w("a") and p._normal_forms == {w("aaa"): w("a")}
+    assert normal_form(p, w("aaa")) == w("a") and "_cache" not in vars(p)
     assert is_convergent(p).ok and set(p._cache) == {"convergence"}
-    # the table of normal forms and what is derived from the presentation
+    assert words_equal(w("aaa"), w("a"), p) and set(p._cache) == {"convergence", "classes"}
+    classes = p._cache["classes"]
+    assert classes.words == [(), w("a")] and classes.ids == {(): 0, w("a"): 1}
+    assert classes.rows == [{"a": 1}, {"a": 1}]
+    # the table of classes and what else is derived from the presentation
     # are caches, which a pickle leaves out
     q = pickle.loads(pickle.dumps(p))
-    assert "_cache" not in vars(q) and "_normal_forms" not in vars(q)
+    assert "_cache" not in vars(q)
     assert q == p and hash(q) == hash(p)
-    assert normal_form(q, w("aaa")) == w("a")
+    assert normal_form(q, w("aaa")) == w("a") and words_equal(w("aaa"), w("a"), q)
 
 
 def test_a_pickle_holds_the_three_fields_only():

@@ -17,6 +17,7 @@ from srs import (
     Rule,
     basis_loops,
     decompose_loop,
+    is_convergent,
     knuth_bendix,
     normal_form,
     normalize,
@@ -25,6 +26,7 @@ from srs import (
     rewrite,
     verify_certificate,
 )
+from srs.critical import _classes
 from helpers import (
     as_presentation,
     four_rule_presentation,
@@ -89,8 +91,10 @@ arbitrary_or_terminating = presentations() | st.integers(0, 2**32 - 1).map(
 @PROPERTY
 @given(arbitrary_or_terminating, st.data())
 def test_the_table_of_normal_forms_agrees_with_normalize(p, data):
-    """``normal_form`` stores the word ``normalize`` reaches, and raises
-    its FuelError, storing nothing, where the fuel runs out."""
+    """``normal_form`` returns the word ``normalize`` reaches, and raises
+    its FuelError where the fuel runs out, keeping nothing either way; on a
+    convergent presentation the table of classes reads that word, before and
+    after its rows are filled."""
     word = tuple(data.draw(st.lists(st.sampled_from(p.generators), max_size=8))) if p.generators else ()
     reduce = rewrite._reduce
     with pytest.MonkeyPatch.context() as patch:
@@ -100,10 +104,13 @@ def test_the_table_of_normal_forms_agrees_with_normalize(p, data):
         except FuelError as exc:
             with pytest.raises(FuelError, match=re.escape(str(exc))):
                 normal_form(p, word)
-            assert word not in p._normal_forms
         else:
-            assert normal_form(p, word) == expected == p._normal_forms[word]
             assert normal_form(p, word) == expected
+            assert normal_form(p, word) == expected
+    assert "_cache" not in vars(p)
+    if is_convergent(p).ok:
+        classes = _classes(p)
+        assert classes.form(word) == normalize(word, p)[0] == classes.form(word)
 
 
 @settings(max_examples=60, deadline=None)
