@@ -9,17 +9,16 @@ into one outcome, its generating confluence or its failure: the report of
 these outcomes is what ``srs critical-pairs`` prints, and ``abelian`` reads
 the basis of identities among relations from it.
 
-Once a presentation is certified convergent (``_require_convergent``), its
-normal forms are read through one table of its classes (``_classes``):
-nf(u·x) = nf(nf(u)·x), so a row per class, filled one letter at a time,
-answers every word.  The word problem, footprints, basis representations,
-translation checks and ``srs equal`` read it; its memory follows the
-classes and letters met, not the words asked for.
+Once a presentation is certified convergent (``_require_convergent``), the
+word problem, footprints, basis representations, translation checks and
+``srs equal`` read its normal forms letter by letter through one table of
+its classes (``_classes``), which keeps a row per class, not every word.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,10 +221,14 @@ class _Classes:
     ``words[c]`` is the normal form of class ``c``, ``ids`` maps it back to
     ``c``, and ``rows[c][x]`` is the class of ``words[c] + (x,)``; class 0
     is ε's.  In a convergent system nf(u·x) = nf(nf(u)·x), so reading a
-    word folds its letters through the rows from a class.  A missing
-    transition costs one reduction of its class word plus the letter, with
-    the default fuel, and adds that row entry and at most one class.  The
-    table is kept in ``p._cache`` and holds the automaton, not ``p``.
+    word folds its letters through the rows.  A missing transition costs
+    one reduction of its class word plus the letter (default fuel) and adds
+    at most one class.  A long word of an infinite monoid adds a class per
+    prefix, as long as the prefix, so the class words hold at most
+    ``DEFAULT_FUEL`` letters in all; past that ``form`` reduces a word
+    whole.  Kept in ``p._cache``, the table holds the automaton, not ``p``.
+    A fill holds the lock and publishes its row entry last, so threads may
+    share the table.
     """
 
     def __init__(self, index: IndexAutomaton):
@@ -233,29 +236,39 @@ class _Classes:
         self.words: list[Word] = [()]
         self.ids: dict[Word, int] = {(): 0}
         self.rows: list[dict[str, int]] = [{}]
+        self.letters = 0
+        self._lock = threading.Lock()
 
-    def read(self, w: Word, c: int = 0) -> int:
-        """The class of ``words[c] + w``."""
+    def read(self, w: Word, c: int = 0) -> int | None:
+        """The class of ``words[c] + w``; None when it is not in the table
+        and the table is full."""
         rows = self.rows
         for x in w:
             try:
                 c = rows[c][x]
             except KeyError:
                 c = self._fill(c, x)
+                if c is None:
+                    return None
         return c
 
     def form(self, w: Word) -> Word:
         """The normal form of ``w``."""
-        return self.words[self.read(w)]
+        c = self.read(w)
+        return _reduce(w, self.index)[0] if c is None else self.words[c]
 
-    def _fill(self, c: int, x: str) -> int:
+    def _fill(self, c: int, x: str) -> int | None:
         nf = _reduce(self.words[c] + (x,), self.index)[0]
-        d = self.ids.get(nf)
-        if d is None:
-            d = self.ids[nf] = len(self.words)
-            self.words.append(nf)
-            self.rows.append({})
-        self.rows[c][x] = d
+        with self._lock:
+            d = self.ids.get(nf)
+            if d is None:
+                if self.letters + len(nf) > DEFAULT_FUEL:
+                    return None
+                self.letters += len(nf)
+                self.words.append(nf)
+                self.rows.append({})
+                d = self.ids[nf] = len(self.words) - 1
+            self.rows[c][x] = d
         return d
 
 
@@ -273,7 +286,7 @@ def words_equal(u: Word, v: Word, p: Presentation) -> bool:
     """Decide equality in the presented monoid via normal forms; raises
     NotConvergentError unless ``p`` is certified convergent."""
     classes = _classes(p)
-    return classes.read(u) == classes.read(v)
+    return classes.form(u) == classes.form(v)
 
 
 @dataclass(frozen=True)

@@ -106,16 +106,16 @@ def check_translation(
     directions = ((sigma, upsilon, fwd, bwd), (upsilon, sigma, bwd, fwd))
     failures: list[str] = []
     for src, dst, there, _ in directions:
-        classes = _classes(dst)
+        form = _classes(dst).form
         for rule in src.rules:
             lhs, rhs = translate_word(rule.lhs, there), translate_word(rule.rhs, there)
-            if classes.read(lhs) != classes.read(rhs):
+            if form(lhs) != form(rhs):
                 failures.append(f"rule {rule.rule_id}: translated sides differ")
     for src, _, there, back in directions:
-        classes = _classes(src)
+        form = _classes(src).form
         for g in src.generators:
             round_trip = translate_word(translate_word((g,), there), back)
-            if classes.read(round_trip) != classes.read((g,)):
+            if form(round_trip) != form((g,)):
                 failures.append(f"generator {g}: round trip is not the identity")
     return TranslationReport(tuple(failures))
 

@@ -2,9 +2,11 @@
 reading a word through it gives the word's normal form, reading on from a
 class gives the class of the concatenation, its size follows the classes
 and letters met, and a presentation that is not certified convergent never
-gets one."""
+gets one.  Its class words hold at most ``DEFAULT_FUEL`` letters."""
 
 import random
+import sys
+import threading
 from pathlib import Path as FilePath
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from srs import (
+    DEFAULT_FUEL,
     FuelError,
     NotConvergentError,
     basis_loops,
@@ -24,7 +27,7 @@ from srs import (
     parse_translation_map,
     words_equal,
 )
-from srs.critical import _classes
+from srs.critical import _Classes, _classes
 from helpers import (
     AS_TEXT,
     TWO_TEXT,
@@ -65,6 +68,50 @@ def test_a5_holds_one_row_per_element():
         assert classes.form(word) == normalize(word, p)[0]
     assert len(classes.words) == len(classes.ids) == 60
     assert sum(len(row) for row in classes.rows) <= 180
+
+
+def test_the_class_words_hold_at_most_the_default_fuel_in_letters():
+    """Under ``b a -> a b`` the prefixes of a^3000 b a are 3,002 classes of
+    up to 3,001 letters, 4.5 million in all: the table keeps them up to a
+    million letters, and past that the word is reduced whole."""
+    p = parse_presentation("generators: a b\norder: shortlex a < b\nrules:\n r: b a -> a b\n")
+    word, nf = ("a",) * 3000 + ("b", "a"), ("a",) * 3001 + ("b",)
+    classes = _classes(p)
+    assert classes.form(word) == nf and classes.read(word) is None
+    assert classes.letters == sum(map(len, classes.words)) <= DEFAULT_FUEL
+    assert words_equal(word, nf, p) and classes.read(("a",) * 1000) is not None
+
+
+def test_threads_share_one_table():
+    """Four threads read random words through one fresh table of the
+    sorting presentation while the interpreter switches threads every
+    microsecond, 100 times over: every read gives the word's normal form,
+    and every class keeps one id.  (Without the lock, about one table in
+    four went wrong.)"""
+    p = parse_presentation((INPUTS / "sorting.pres").read_text(encoding="utf-8"))
+    rng = random.Random(3)
+    batches = [[random_word(rng, p, 14) for _ in range(150)] for _ in range(4)]
+    expected = [[normalize(word, p)[0] for word in batch] for batch in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            classes = _Classes(p.index_automaton)
+            results: list[list] = [[] for _ in batches]
+
+            def work(k: int) -> None:
+                results[k] = [classes.form(word) for word in batches[k]]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == expected
+            assert all(classes.ids[word] == c for c, word in enumerate(classes.words))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(
