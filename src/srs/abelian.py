@@ -18,6 +18,9 @@ Two computable representations are used side by side:
 Equal basis representations mean equal loop classes; distinct footprints
 mean distinct classes.  Every decomposition certificate can be replayed:
 its footprint must equal the footprint of the decomposed loop, exactly.
+The classes of contexts are read through the presentation's table of
+classes (``critical._classes``), so every function here needs a convergent
+presentation and raises NotConvergentError otherwise.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from .rewrite import (
     _descent,
     _out_of_fuel,
     _reduce,
-    normal_form,
 )
-from .critical import GeneratingConfluence, _require_convergent
+from .critical import GeneratingConfluence, _classes, _require_convergent
 
 # footprint: (left class, rule id, right class) -> nonzero integer
 Footprint = dict[tuple[Word, str, Word], int]
@@ -65,22 +67,24 @@ def footprint(f: Path, p: Presentation) -> Footprint:
 
     Defined for any path; only closed paths represent loop classes.
     """
-    _require_convergent(p)
+    form = _classes(p).form
     out: Footprint = {}
     for source, rule, pos, sign in f.walk():
         matched = len(rule.lhs if sign > 0 else rule.rhs)
-        left = normal_form(p, source[:pos])
-        right = normal_form(p, source[pos + matched :])
+        left = form(source[:pos])
+        right = form(source[pos + matched :])
         _bump(out, (left, rule.rule_id, right), sign)
     return out
 
 
 def act_footprint(ctx: tuple[Word, Word], fp: Footprint, p: Presentation) -> Footprint:
-    """Context action on footprints: wrap every key in (left, right)."""
+    """Context action on footprints: wrap every key in (left, right);
+    raises NotConvergentError unless ``p`` is certified convergent."""
+    form = _classes(p).form
     left, right = ctx
     out: Footprint = {}
     for (l, rule_id, r), coeff in fp.items():
-        _bump(out, (normal_form(p, left + l), rule_id, normal_form(p, r + right)), coeff)
+        _bump(out, (form(left + l), rule_id, form(r + right)), coeff)
     return out
 
 
@@ -296,9 +300,10 @@ def _peak_entries(
 def _pi(entries, p: Presentation) -> PiElement:
     """The element of signed entries ``(sign, left, right, ..., basis id)``:
     each adds its sign at the classes of its contexts and its basis id."""
+    form = _classes(p).form
     pi: PiElement = {}
     for sign, left, right, *_, basis_id in entries:
-        _bump(pi, ((normal_form(p, left), normal_form(p, right)), basis_id), sign)
+        _bump(pi, ((form(left), form(right)), basis_id), sign)
     return pi
 
 
@@ -418,11 +423,11 @@ def pi_footprint(x: PiElement, p: Presentation) -> Footprint:
 
 def context_act(ctx: tuple[Word, Word], x: PiElement, p: Presentation) -> PiElement:
     """Context action on basis representations, normalized componentwise."""
-    _require_convergent(p)
+    form = _classes(p).form
     left, right = ctx
     out: PiElement = {}
     for ((l, r), basis_id), coeff in x.items():
-        new_ctx = (normal_form(p, left + l), normal_form(p, r + right))
+        new_ctx = (form(left + l), form(r + right))
         _bump(out, (new_ctx, basis_id), coeff)
     return out
 

@@ -105,8 +105,7 @@ def test_the_table_of_normal_forms_agrees_with_normalize(p, data):
             with pytest.raises(FuelError, match=re.escape(str(exc))):
                 normal_form(p, word)
         else:
-            assert normal_form(p, word) == expected
-            assert normal_form(p, word) == expected
+            assert normal_form(p, word) == expected == normal_form(p, word)
     assert "_cache" not in vars(p)
     if is_convergent(p).ok:
         classes = _classes(p)
