@@ -43,7 +43,6 @@ from .rewrite import (
     apply_step,
     check_termination,
     find_redexes,
-    normal_form,
     normal_path,
     normalize,
 )
@@ -69,6 +68,7 @@ from .critical import (
     generating_confluence,
     is_convergent,
     is_locally_confluent,
+    normal_form,
     words_equal,
     words_up_to,
 )

@@ -78,8 +78,7 @@ def footprint(f: Path, p: Presentation) -> Footprint:
 
 
 def act_footprint(ctx: tuple[Word, Word], fp: Footprint, p: Presentation) -> Footprint:
-    """Context action on footprints: wrap every key in (left, right);
-    raises NotConvergentError unless ``p`` is certified convergent."""
+    """Context action on footprints: wrap every key in (left, right)."""
     form = _classes(p).form
     left, right = ctx
     out: Footprint = {}
@@ -312,10 +311,10 @@ def decompose_step(s: RewriteStep, p: Presentation, *, fuel: int = DEFAULT_FUEL)
     class of (canonical path of the source)⁻ ⁎ step ⁎ (canonical path of
     the target).  ``fuel`` bounds the peak-elimination frames expanded;
     running out raises FuelError."""
-    _require_convergent(p)
+    index = _basis(p)
     if s.sign <= 0:
         raise ValueError("decompose_step expects a positive step")
-    (entries,) = _peak_entries([(s.source, s.rule, s.pos)], p, _basis(p), fuel)
+    (entries,) = _peak_entries([(s.source, s.rule, s.pos)], p, index, fuel)
     return _pi(entries, p)
 
 
@@ -365,7 +364,7 @@ def decompose_loop(
     its path from there.  The whole path's length counts against the
     default fuel, as ``normalize``'s would.
     """
-    _require_convergent(p)
+    index = _basis(p)
     if not f.is_closed:
         raise ValueError("decompose_loop expects a closed path")
     words = [source for source, _, _, _ in f.walk()] + [f.target]
@@ -375,7 +374,7 @@ def decompose_loop(
         for i, (rule, pos, sign) in enumerate(f.moves)
     ]
     raw: list[_RawEntry] = []
-    for (_, _, sign), entries in zip(f.moves, _peak_entries(steps, p, _basis(p), fuel)):
+    for (_, _, sign), entries in zip(f.moves, _peak_entries(steps, p, index, fuel)):
         raw.extend(entries if sign > 0 else _negate_entries(entries))
     automaton = p.index_automaton
     normal, head = _reduce(f.base, automaton, DEFAULT_FUEL)
@@ -446,7 +445,6 @@ def verify_certificate(
 ) -> CertificateReport:
     """Replay a certificate: its summarized element must match its entry
     list, and its footprint must equal the loop's footprint exactly."""
-    _require_convergent(p)
     problems: list[str] = []
     summary = _pi(((e.sign, e.left, e.right, e.basis_id) for e in cert.entries), p)
     if summary != cert.pi:

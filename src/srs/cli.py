@@ -162,9 +162,9 @@ def _text_normalize(payload: dict) -> list[str]:
 
 def _cmd_equal(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    classes = critical._classes(p)
-    nf_u = classes.form(parse_word(args.left, p))
-    nf_v = classes.form(parse_word(args.right, p))
+    critical._require_convergent(p)
+    nf_u = critical.normal_form(parse_word(args.left, p), p)
+    nf_v = critical.normal_form(parse_word(args.right, p), p)
     payload = {
         "equal": nf_u == nf_v,
         "normal_forms": [format_word(nf_u, p), format_word(nf_v, p)],
@@ -249,7 +249,6 @@ def _text_complete(payload: dict) -> list[str]:
 
 def _cmd_pi_basis(args) -> tuple[int, dict]:
     p = _load(args.presentation)
-    critical._require_convergent(p)
     loops = abelian.basis_loops(p)
     return 0, {
         "loops": [

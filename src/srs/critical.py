@@ -9,10 +9,10 @@ into one outcome, its generating confluence or its failure: the report of
 these outcomes is what ``srs critical-pairs`` prints, and ``abelian`` reads
 the basis of identities among relations from it.
 
-Once a presentation is certified convergent (``_require_convergent``), the
-word problem, footprints, basis representations, translation checks and
-``srs equal`` read its normal forms letter by letter through one table of
-its classes (``_classes``), which keeps a row per class, not every word.
+Once a presentation is certified convergent (``_require_convergent``),
+``normal_form`` reads its normal forms letter by letter through one table
+of its classes (``_classes``), which keeps a row per class, not every word;
+the footprints and basis representations of ``abelian`` read it too.
 """
 
 from __future__ import annotations
@@ -282,11 +282,16 @@ def _classes(p: Presentation) -> _Classes:
     return table
 
 
+def normal_form(w: Word, p: Presentation) -> Word:
+    """The normal form of ``w``, read through the table of ``p``'s classes;
+    raises NotConvergentError unless ``p`` is certified convergent."""
+    return _classes(p).form(w)
+
+
 def words_equal(u: Word, v: Word, p: Presentation) -> bool:
     """Decide equality in the presented monoid via normal forms; raises
     NotConvergentError unless ``p`` is certified convergent."""
-    classes = _classes(p)
-    return classes.form(u) == classes.form(v)
+    return normal_form(u, p) == normal_form(v, p)
 
 
 @dataclass(frozen=True)

@@ -210,9 +210,10 @@ class Presentation:
 
     @cached_property
     def _cache(self) -> dict:
-        # derived values: "convergence", "basis", "classes" (the table of
-        # classes that ``critical._classes`` alone reads and fills), and rule
-        # images by pair of words; none refers back to the presentation
+        # derived values, none referring back to the presentation, each key
+        # read and written by one function: "convergence" by critical.is_convergent,
+        # "classes" by critical._classes, "basis" by abelian._basis and
+        # "rule_images" (paths by pair of words) by transport._rule_image
         return {}
 
     @cached_property

@@ -32,14 +32,12 @@ lemma.  ``Path.walk`` replays the moves for consumers of each source word;
 ``Path.steps`` builds ``RewriteStep`` values afresh on each read and is
 kept for callers that want whole words.  The repr shows the moves.
 
-Paths are built only where their moves are read.  ``normal_form``
-reduces its word afresh and builds no path; no library code calls it.
-``normal_path`` caches whole paths, keyed on the presentation; no library
-code calls it either, and the benchmark's tracer reads its
-``cache_info()``.  The normal forms the library reads (the word problem,
-footprints, basis representations, translation checks) need convergence,
-and come from the one memo of a convergent presentation, its table of
-classes in ``critical``, which keeps a row per class, not every word.
+Paths are built only where their moves are read.  ``normal_path`` caches
+whole paths, keyed on the presentation; no library code calls it, and the
+benchmark's tracer reads its ``cache_info()``.  The normal forms the
+library reads (the word problem, footprints, basis representations,
+translation checks) need convergence, and come from the table of classes
+that ``critical.normal_form`` reads; ``normalize`` works on any presentation.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from .errors import FuelError, MatchError
 from .presentation import GREATER, IndexAutomaton, OrderSpec, Presentation, Rule, Word, compare_words
 
 DEFAULT_FUEL = 10**6
+QUOTED = 40
 
 
 @dataclass(frozen=True)
@@ -325,8 +324,11 @@ def _reduce(
 
 
 def _out_of_fuel(w: Word, fuel: int) -> FuelError:
-    """The error of a descent from ``w`` longer than ``fuel`` steps."""
-    return FuelError(f"no normal form within {fuel} steps from {''.join(w) or 'ε'!r}")
+    """The error of a descent from ``w`` longer than ``fuel`` steps, which
+    names a word of more than ``QUOTED`` letters by its length and first letters."""
+    start = repr("".join(w[:QUOTED]) or "ε")
+    shown = start if len(w) <= QUOTED else f"a word of {len(w)} letters beginning {start}"
+    return FuelError(f"no normal form within {fuel} steps from {shown}")
 
 
 def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word, Path]:
@@ -345,12 +347,6 @@ def normalize(w: Word, p: Presentation, fuel: int = DEFAULT_FUEL) -> tuple[Word,
 def normal_path(p: Presentation, w: Word) -> Path:
     """Cached canonical reduction path of ``w`` (default fuel)."""
     return normalize(w, p)[1]
-
-
-def normal_form(p: Presentation, w: Word) -> Word:
-    """The normal form of ``w`` (default fuel) under the leftmost-lowest
-    strategy, on any presentation; no path is built and nothing is kept."""
-    return _reduce(w, p.index_automaton)[0]
 
 
 @dataclass(frozen=True)

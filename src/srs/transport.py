@@ -17,7 +17,7 @@ from .errors import TranslationError
 from .presentation import Presentation, Rule, Word, format_word, parse_word, ParseError
 from .rewrite import Move, Path, normalize
 from .track import compose, free_reduce, invert, shift_moves
-from .critical import _classes, is_convergent
+from .critical import is_convergent, normal_form
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,14 @@ def check_translation(
     directions = ((sigma, upsilon, fwd, bwd), (upsilon, sigma, bwd, fwd))
     failures: list[str] = []
     for src, dst, there, _ in directions:
-        form = _classes(dst).form
         for rule in src.rules:
             lhs, rhs = translate_word(rule.lhs, there), translate_word(rule.rhs, there)
-            if form(lhs) != form(rhs):
+            if normal_form(lhs, dst) != normal_form(rhs, dst):
                 failures.append(f"rule {rule.rule_id}: translated sides differ")
     for src, _, there, back in directions:
-        form = _classes(src).form
         for g in src.generators:
             round_trip = translate_word(translate_word((g,), there), back)
-            if form(round_trip) != form((g,)):
+            if normal_form(round_trip, src) != normal_form((g,), src):
                 failures.append(f"generator {g}: round trip is not the identity")
     return TranslationReport(tuple(failures))
 
@@ -123,10 +121,11 @@ def check_translation(
 def _rule_image(dst: Presentation, lhs_image: Word, rhs_image: Word) -> Path:
     """Canonical path between two congruent words, such as the images of a
     rule's sides: down to the common normal form and back up."""
-    path = dst._cache.get((lhs_image, rhs_image))
+    images = dst._cache.setdefault("rule_images", {})
+    path = images.get((lhs_image, rhs_image))
     if path is None:
         down, up = normalize(lhs_image, dst)[1], normalize(rhs_image, dst)[1]
-        path = dst._cache[lhs_image, rhs_image] = compose(down, invert(up))
+        path = images[lhs_image, rhs_image] = compose(down, invert(up))
     return path
 
 

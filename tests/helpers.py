@@ -30,7 +30,6 @@ from srs import (
     find_redexes,
     free_reduce,
     invert,
-    normal_form,
     normalize,
     parse_presentation,
     translate_word,
@@ -470,7 +469,7 @@ def e_class_oracle(source: Word, rule: Rule, pos: int, p: Presentation, memo: di
     else:
         beta_sign, completion_b, completion_s = 1, conf.completion2, conf.completion1
     pi: dict = {}
-    ctx_class = (normal_form(p, left_ctx), normal_form(p, right_ctx))
+    ctx_class = (normalize(left_ctx, p)[0], normalize(right_ctx, p)[0])
     _bump(pi, (ctx_class, basis_loop.basis_id), beta_sign)
     entries = [(beta_sign, left_ctx, right_ctx, source, basis_loop.basis_id)]
     for path, sign in ((completion_b, 1), (completion_s, -1)):

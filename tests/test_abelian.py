@@ -19,8 +19,8 @@ from srs import (
     footprint,
     free_reduce,
     invert,
-    normal_form,
     normal_path,
+    normalize,
     parse_path,
     parse_presentation,
     pi_footprint,
@@ -368,7 +368,7 @@ def test_certificate_entries_sum_to_element():
         cert = decompose_loop(loop, p)
         summary = {}
         for entry in cert.entries:
-            ctx = (normal_form(p, entry.left), normal_form(p, entry.right))
+            ctx = (normalize(entry.left, p)[0], normalize(entry.right, p)[0])
             summary = _add(summary, {(ctx, entry.basis_id): entry.sign})
         assert summary == cert.pi
         for entry in cert.entries:
@@ -422,7 +422,7 @@ def test_two_entry_bases_merge_before_the_normal_path_of_the_loop_base():
     assert (first, second) == (w("acbab"), w("cbaab"))
 
     def words(base):
-        return [source for source, *_ in normal_path(p, base).walk()] + [normal_form(p, base)]
+        return [source for source, *_ in normal_path(p, base).walk()] + [normalize(base, p)[0]]
 
     head = words(zigzag.base)
     assert set(words(first)) & set(head) == {w("aabbc")}

@@ -17,16 +17,26 @@ from srs import (
     DEFAULT_FUEL,
     FuelError,
     NotConvergentError,
+    Path,
+    RewriteStep,
+    act_footprint,
     basis_loops,
     check_translation,
     context_act,
+    decompose_loop,
+    decompose_step,
     footprint,
     knuth_bendix,
+    normal_form,
     normalize,
     parse_presentation,
     parse_translation_map,
+    pi_footprint,
+    verify_certificate,
     words_equal,
 )
+from srs.abelian import DecompositionCertificate
+from srs.cli import main
 from srs.critical import _Classes, _classes
 from helpers import (
     AS_TEXT,
@@ -119,19 +129,37 @@ def test_threads_share_one_table():
     [TWO_TEXT, "generators: a b\norder: shortlex a < b\nrules:\n r: a -> b\n"],
     ids=["not-confluent", "not-terminating"],
 )
-def test_a_presentation_that_is_not_convergent_gets_no_table(text):
+def test_a_presentation_that_is_not_convergent_gets_no_table(text, tmp_path, capsys):
+    """Every call that needs convergence raises NotConvergentError and
+    leaves neither a table nor a basis, ahead of a second fault in its
+    input: an open loop, a negative step, a word that does not parse."""
     p = parse_presentation(text)
     sides = parse_presentation(AS_TEXT)
     m = parse_translation_map("forward: a -> a\nbackward: a -> a\n", sides, sides)
+    rule = p.rules[0]
+    step, closed = RewriteStep(rule.lhs, rule, 0, 1), Path(rule.lhs)
     for attempt in (
         lambda: _classes(p),
+        lambda: normal_form(("a",), p),
         lambda: words_equal(("a",), ("b",), p),
         lambda: footprint(normalize(("b", "a"), p)[1], p),
+        lambda: act_footprint((("a",), ()), {}, p),
         lambda: context_act((("a",), ()), {}, p),
+        lambda: basis_loops(p),
+        lambda: decompose_step(step, p),
+        lambda: decompose_step(RewriteStep(rule.rhs, rule, 0, -1), p),
+        lambda: decompose_loop(closed, p),
+        lambda: decompose_loop(Path.from_moves(rule.lhs, [(rule, 0, 1)]), p),
+        lambda: pi_footprint({}, p),
+        lambda: verify_certificate(closed, DecompositionCertificate(closed, (), {}), p),
     ):
         with pytest.raises(NotConvergentError):
             attempt()
-        assert "classes" not in p._cache
+        assert not {"classes", "basis"} & set(p._cache)
+    path = tmp_path / "p.pres"
+    path.write_text(text, encoding="utf-8")
+    assert main(["equal", str(path), "no-such-letter", "a"]) == 2
+    assert capsys.readouterr().err == "srs: presentation is not convergent; run 'complete' first\n"
     # a convergent one gets its table when it is first read
     assert check_translation(sides, sides, m).ok and basis_loops(sides)
     assert "classes" in sides._cache

@@ -223,7 +223,7 @@ def test_loops_keep_no_normal_paths(monkeypatch):
     """Footprints, certificate replay and decomposition read normal forms
     from the presentation's table of classes and take conjugators from
     reductions of their own: none adds to the ``normal_path`` cache, and
-    neither the table nor ``normal_form`` builds a path."""
+    the table, read by ``normal_form``, builds no path."""
     p = parse_presentation(SORTING_TEXT)
     loop = random_loop(random.Random(11), p, tuple(bl.loop for bl in basis_loops(p)), max_len=8)
     cached = rewrite.normal_path.cache_info().currsize
@@ -237,8 +237,7 @@ def test_loops_keep_no_normal_paths(monkeypatch):
     forms = [normalize(word, fresh)[0] for word in words]
     classes = _classes(fresh)  # the convergence check builds its paths
     monkeypatch.setattr(rewrite, "_stored", lambda *fields: pytest.fail("a path was built"))
-    assert [normal_form(fresh, word) for word in words] == forms
-    assert [classes.form(word) for word in words] == forms
+    assert [normal_form(word, fresh) for word in words] == forms
     assert all(classes.read(word) == classes.ids[form] for word, form in zip(words, forms))
 
 

@@ -11,12 +11,11 @@ syntax tree of every module, function bodies included.
 """
 
 import ast
-from pathlib import Path
 
-import srs
+from source_tree import named, owned_nodes, sources
 
-SRC = Path(srs.__file__).resolve().parent
-MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+SOURCES = {name: source for name, source in sources().items() if name != "__init__"}
+MODULES = set(SOURCES)
 LAYERS = (
     ("errors",),
     ("presentation",),
@@ -36,24 +35,19 @@ def _imports(source: str) -> list[tuple[str, bool]]:
     ``srs``; ``from . import x`` names the module ``srs.x`` when there is
     one, else the package ``srs``, which holds the name."""
     found = []
-
-    def visit(node: ast.AST, in_function: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                found.extend((alias.name, in_function) for alias in child.names)
-            elif isinstance(child, ast.ImportFrom):
-                module = f"srs.{child.module}" if child.level and child.module else child.module or "srs"
-                if module == "srs":
-                    found.extend(
-                        (f"srs.{alias.name}" if alias.name in MODULES else "srs", in_function)
-                        for alias in child.names
-                    )
-                else:
-                    found.append((module, in_function))
-            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            visit(child, in_function or nested)
-
-    visit(ast.parse(source), False)
+    for owner, node in owned_nodes(source):
+        in_function = owner != "<module>"
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, in_function) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = f"srs.{node.module}" if node.level and node.module else node.module or "srs"
+            if module == "srs":
+                found.extend(
+                    (f"srs.{alias.name}" if alias.name in MODULES else "srs", in_function)
+                    for alias in node.names
+                )
+            else:
+                found.append((module, in_function))
     return found
 
 
@@ -70,22 +64,18 @@ def _violations(module: str, source: str) -> list[str]:
     return out
 
 
-def _sources() -> dict[str, str]:
-    return {name: (SRC / f"{name}.py").read_text(encoding="utf-8") for name in sorted(MODULES)}
-
-
 def test_every_module_has_a_layer():
     assert MODULES == set(RANK)
 
 
 def test_each_module_imports_only_lower_layers():
-    assert [v for module, source in _sources().items() for v in _violations(module, source)] == []
+    assert [v for module, source in SOURCES.items() for v in _violations(module, source)] == []
 
 
 def test_no_module_imports_inside_a_function():
     assert [
         f"{module} imports {name}"
-        for module, source in _sources().items()
+        for module, source in SOURCES.items()
         for name, in_function in _imports(source)
         if in_function
     ] == []
@@ -141,24 +131,14 @@ PASS = {"critical_branchings", "generating_confluence"}
 def _pass_users(source: str) -> set[str]:
     """The names of ``PASS`` that the source uses, as a variable or an
     attribute (a definition or an import alone uses none)."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names & PASS
+    return {named(node) for _, node in owned_nodes(source)} & PASS
 
 
 def test_only_critical_runs_the_pass_over_the_branchings():
     """``critical.is_locally_confluent`` is the one pass that lists the
     critical branchings and completes each; every other module, the CLI
     included, reads its report."""
-    users = {
-        path.stem: names
-        for path in sorted(SRC.glob("*.py"))
-        if (names := _pass_users(path.read_text(encoding="utf-8")))
-    }
+    users = {module: names for module, source in sources().items() if (names := _pass_users(source))}
     assert users == {"critical": PASS}
 
 

@@ -1,78 +1,75 @@
-"""A convergent presentation keeps one memo of normal forms: its table of
-classes, which only ``critical._classes`` names in ``p._cache``.  No module
-under ``src/srs/`` calls ``rewrite.normal_form``, which keeps nothing, and
-only the package's ``__init__`` imports it, to export it.  This reads the
-syntax tree of every module under ``src/srs/``.
+"""Each value a presentation keeps sits in ``p._cache`` under a string key
+that one function reads and writes.  The table of classes is the one memo
+of normal forms: ``critical.normal_form`` is its public reader, and only
+``critical`` and ``abelian`` name ``_classes``.  This reads the syntax tree
+of every module under ``src/srs/``.
 """
 
 import ast
-from pathlib import Path
 
-import srs
+from source_tree import imports, named, owned_nodes, sources, users
 
-SRC = Path(srs.__file__).resolve().parent
-
-
-def _owners(source: str) -> tuple[set[str], set[str]]:
-    """The innermost functions that name the key ``"classes"`` and those
-    that call a ``normal_form``, as a function or an attribute; "<module>"
-    for a use outside every function."""
-    keys, calls = set(), set()
-
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", "<lambda>"))
-                continue
-            if isinstance(child, ast.Constant) and child.value == "classes":
-                keys.add(owner)
-            if isinstance(child, ast.Call) and (
-                getattr(child.func, "id", None) == "normal_form"
-                or getattr(child.func, "attr", None) == "normal_form"
-            ):
-                calls.add(owner)
-            visit(child, owner)
-
-    visit(ast.parse(source), "<module>")
-    return keys, calls
+OWNERS = {
+    "convergence": {"critical.is_convergent"},
+    "classes": {"critical._classes"},
+    "basis": {"abelian._basis"},
+    "rule_images": {"transport._rule_image"},
+}
 
 
-def _imports_normal_form(source: str) -> bool:
-    return any(
-        isinstance(node, (ast.Import, ast.ImportFrom))
-        and any(alias.name.rpartition(".")[2] == "normal_form" for alias in node.names)
-        for node in ast.walk(ast.parse(source))
-    )
+def _cache_keys(source: str) -> set[tuple[str | None, str]]:
+    """``(key, function)`` for every use of a ``_cache``: the key is the
+    string literal it is subscripted or called with, None for any other use;
+    the function is the innermost one around the use."""
+    nodes = list(owned_nodes(source))
+    keyed, found = set(), set()
+    for owner, node in nodes:
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+            target, key = node.func.value, node.args[0]
+        else:
+            continue
+        if named(target) == "_cache":
+            keyed.add(target)
+            literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+            found.add((key.value if literal else None, owner))
+    return found | {(None, owner) for owner, node in nodes if named(node) == "_cache" and node not in keyed}
 
 
 def test_only_the_reader_keeps_normal_forms():
-    keys, calls, importers = set(), set(), set()
-    for path in sorted(SRC.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        found_keys, found_calls = _owners(source)
-        keys |= {f"{path.stem}.{owner}" for owner in found_keys}
-        calls |= {f"{path.stem}.{owner}" for owner in found_calls}
-        if _imports_normal_form(source):
-            importers.add(path.stem)
-    assert keys == {"critical._classes"}
-    assert calls == set()
-    assert importers == {"__init__"}
+    modules = sources()
+    owners: dict[str | None, set[str]] = {}
+    for module, source in modules.items():
+        for key, owner in _cache_keys(source):
+            owners.setdefault(key, set()).add(f"{module}.{owner}")
+    assert owners == OWNERS
+    assert {module for module, source in modules.items() if users(source, "_classes")} == {"critical", "abelian"}
+    assert [module for module, source in modules.items() if imports(source, "_classes")] == ["abelian"]
 
 
 def test_the_check_finds_every_key_call_and_import():
     source = (
-        "from .rewrite import _reduce, normal_form\n"
-        "def words_equal(u, v, p):\n"
+        "from .critical import _classes\n"
+        "def _classes(p):\n"
         "    table = p._cache.get('classes')\n"
-        "    def inner():\n"
-        "        return rewrite.normal_form(p, u)\n"
-        "    return normal_form(p, v)\n"
-        "KEY = 'classes'\n"
-        "later = lambda p: p._cache['classes']\n"
-        "name = 'normal_form'\n"
-        "def classes(p): 'the classes'\n"
+        "    table = p._cache['classes'] = make(p)\n"
+        "def words_equal(u, v, p):\n"
+        "    return p._cache['classes'].form(u) == critical._classes(p).form(v)\n"
+        "def _rule_image(dst, lhs, rhs):\n"
+        "    path = dst._cache.get((lhs, rhs))\n"
+        "    dst._cache[lhs, rhs] = path\n"
+        "later = lambda p: p._cache.setdefault('basis', {})\n"
+        "everything = p._cache\n"
+        "KEY, name = 'classes', '_cache'\n"
     )
-    assert _owners(source) == ({"words_equal", "<module>", "<lambda>"}, {"inner", "words_equal"})
-    assert _imports_normal_form(source)
-    assert not _imports_normal_form("from .rewrite import _reduce\nimport srs.rewrite\n")
-    assert _owners("table.form(w)\nnormal_forms = {}\n") == (set(), set())
+    assert _cache_keys(source) == {
+        ("classes", "_classes"),
+        ("classes", "words_equal"),
+        (None, "_rule_image"),
+        ("basis", "<lambda>"),
+        (None, "<module>"),
+    }
+    assert users(source, "_classes") == {"words_equal"}
+    assert imports(source, "_classes")
+    assert _cache_keys("table.get('classes')\ncache = {}\ncache['classes'] = 0\n") == set()

@@ -6,11 +6,8 @@ annotation written as a string counts as a use of the names in it.
 """
 
 import ast
-from pathlib import Path
 
-import srs
-
-SOURCES = Path(srs.__file__).resolve().parent
+from source_tree import sources
 
 # re-exports that code outside ``srs`` imports from the module
 RE_EXPORTS = {
@@ -64,10 +61,10 @@ def test_no_module_imports_a_name_it_does_not_use():
     """The only unused imports are the listed re-exports, and each of them
     is still there."""
     found: dict[tuple[str, str], int] = {}
-    for path in sorted(SOURCES.glob("*.py")):
-        if path.name != "__init__.py":
-            for name, line in _unused(path.read_text(encoding="utf-8")):
-                found[path.stem, name] = line
+    for module, source in sources().items():
+        if module != "__init__":
+            for name, line in _unused(source):
+                found[module, name] = line
     assert set(found) == RE_EXPORTS, found
 
 
