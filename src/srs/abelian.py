@@ -78,7 +78,8 @@ def footprint(f: Path, p: Presentation) -> Footprint:
 
 
 def act_footprint(ctx: tuple[Word, Word], fp: Footprint, p: Presentation) -> Footprint:
-    """Context action on footprints: wrap every key in (left, right)."""
+    """Context action on footprints: wrap every key in (left, right);
+    raises NotConvergentError unless ``p`` is certified convergent."""
     form = _classes(p).form
     left, right = ctx
     out: Footprint = {}

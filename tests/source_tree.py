@@ -11,8 +11,12 @@ SRC = Path(srs.__file__).resolve().parent
 
 
 def sources() -> dict[str, str]:
-    """The source of every module of ``srs``, by module name."""
-    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    """The source of every module of ``srs``, subpackages included, by its
+    dotted name under ``srs`` ("critical", or "sub.module" in a subpackage)."""
+    return {
+        ".".join(path.relative_to(SRC).with_suffix("").parts): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
 
 
 def owned_nodes(source: str) -> Iterator[tuple[str, ast.AST]]:
